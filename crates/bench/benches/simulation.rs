@@ -11,7 +11,7 @@ use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
 use duplo_isa::Kernel as _;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
-use duplo_sim::{GpuConfig, GpuSim, layer_run};
+use duplo_sim::{GpuConfig, GpuSim, RunOptions, layer_run};
 use duplo_tensor::Nhwc;
 use duplo_testkit::bench::Bench;
 use std::hint::black_box;
@@ -28,7 +28,7 @@ fn bench_fig09_fig10() {
     let p = small_layer();
     let g = Bench::group("fig09_fig10_layer_sim");
     g.bench("baseline", || {
-        black_box(layer_run(&p, None, &gpu(2)).cycles);
+        black_box(layer_run(&p, None, &gpu(2), &RunOptions::default()).cycles);
     });
     for lhb in [
         LhbConfig::direct_mapped(256),
@@ -36,7 +36,7 @@ fn bench_fig09_fig10() {
         LhbConfig::oracle(),
     ] {
         g.bench(&lhb.label(), || {
-            black_box(layer_run(&p, Some(lhb), &gpu(2)).cycles);
+            black_box(layer_run(&p, Some(lhb), &gpu(2), &RunOptions::default()).cycles);
         });
     }
 }
@@ -45,7 +45,12 @@ fn bench_fig11() {
     let p = small_layer();
     let g = Bench::group("fig11");
     g.bench("service_breakdown", || {
-        let r = layer_run(&p, Some(LhbConfig::paper_default()), &gpu(2));
+        let r = layer_run(
+            &p,
+            Some(LhbConfig::paper_default()),
+            &gpu(2),
+            &RunOptions::default(),
+        );
         black_box((r.stats.services.lhb, r.stats.mem.dram_bytes));
     });
 }
@@ -55,7 +60,15 @@ fn bench_fig12() {
     let g = Bench::group("fig12_associativity_sim");
     for ways in [1usize, 8] {
         g.bench(&format!("{ways}_way"), || {
-            black_box(layer_run(&p, Some(LhbConfig::set_associative(1024, ways)), &gpu(2)).cycles);
+            black_box(
+                layer_run(
+                    &p,
+                    Some(LhbConfig::set_associative(1024, ways)),
+                    &gpu(2),
+                    &RunOptions::default(),
+                )
+                .cycles,
+            );
         });
     }
 }
@@ -65,7 +78,15 @@ fn bench_fig13() {
     for batch in [1usize, 4] {
         let p = ConvParams::new(Nhwc::new(batch, 28, 28, 32), 32, 3, 3, 1, 1).unwrap();
         g.bench(&format!("batch_{batch}"), || {
-            black_box(layer_run(&p, Some(LhbConfig::paper_default()), &gpu(2)).cycles);
+            black_box(
+                layer_run(
+                    &p,
+                    Some(LhbConfig::paper_default()),
+                    &gpu(2),
+                    &RunOptions::default(),
+                )
+                .cycles,
+            );
         });
     }
 }
@@ -75,7 +96,13 @@ fn bench_fig14() {
     let p = small_layer();
     let g = Bench::group("fig14");
     g.bench("fwd_plus_dw", || {
-        let fwd = layer_run(&p, Some(LhbConfig::paper_default()), &gpu(1)).cycles;
+        let fwd = layer_run(
+            &p,
+            Some(LhbConfig::paper_default()),
+            &gpu(1),
+            &RunOptions::default(),
+        )
+        .cycles;
         let (m, n, k) = p.gemm_dims();
         let dw = GemmTcKernel::new(k, n, m, SmemPolicy::COnly);
         let dwc = GpuSim::new(gpu(1)).run(&dw).cycles;
@@ -85,7 +112,12 @@ fn bench_fig14() {
 
 fn bench_energy() {
     let p = small_layer();
-    let run = layer_run(&p, Some(LhbConfig::paper_default()), &gpu(2));
+    let run = layer_run(
+        &p,
+        Some(LhbConfig::paper_default()),
+        &gpu(2),
+        &RunOptions::default(),
+    );
     let g = Bench::group("sec5h");
     g.bench("energy_report", || {
         black_box(run.energy().total_nj());

@@ -24,8 +24,7 @@
 //!   daemon's `/v1/metrics` registry (Prometheus text, or the JSON
 //!   snapshot with `--json`).
 //!
-//! `duplo run <name>` produces stdout byte-identical to the corresponding
-//! per-figure binary: both resolve the same registry entry and run through
+//! `duplo run <name>` resolves the registry entry and runs it through
 //! `duplo_bench::run_spec`.
 use duplo_bench::{
     USAGE, exit_unknown_experiment, parse_cli, record_to_file, run_all, run_bench, run_named,
@@ -348,7 +347,7 @@ fn main() {
                 if spec.in_all {
                     "yes (all_experiments / EXPERIMENTS.md)"
                 } else {
-                    "no (standalone / duplo run only)"
+                    "no (duplo run only)"
                 }
             );
         }
@@ -361,7 +360,7 @@ fn main() {
             if target == "all" {
                 match parse_cli(rest, Some(8)) {
                     Ok(cli) => {
-                        with_trace(&cli, || with_replay(&cli, || run_all(&cli, true)));
+                        with_trace(&cli, |o| with_replay(o, |o| run_all(o, true)));
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");
@@ -374,7 +373,7 @@ fn main() {
                 };
                 match parse_cli(rest, spec.default_sample) {
                     Ok(cli) => {
-                        with_trace(&cli, || with_replay(&cli, || run_named(target, &cli)));
+                        with_trace(&cli, |o| with_replay(o, |o| run_named(target, o)));
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");
@@ -454,7 +453,9 @@ fn main() {
                             std::process::exit(2);
                         }
                         let out_path = std::path::PathBuf::from(out);
-                        with_trace(&cli, || record_to_file(&out_path, || run_named(name, &cli)));
+                        with_trace(&cli, |o| {
+                            record_to_file(o, &out_path, |o| run_named(name, o))
+                        });
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");

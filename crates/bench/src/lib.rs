@@ -1,6 +1,6 @@
 //! Support library for the Duplo experiment binaries and benches.
 //!
-//! Every binary accepts:
+//! `duplo run` (and `all_experiments`) accept:
 //!
 //! * `--sample <N>` — simulate at most `N` CTAs per representative SM and
 //!   scale time linearly (the default for the heaviest sweeps),
@@ -29,24 +29,27 @@
 //! the `DUPLO_JSON_DIR` environment variable) and write one file per
 //! experiment plus a `BENCH_duplo.json` roll-up.
 //!
-//! The per-figure binaries are thin wrappers over [`standalone`], which
-//! resolves the experiment in the shared registry
+//! `duplo run <name>` resolves the experiment in the shared registry
 //! (`duplo_sim::experiments::registry`) and runs it under the common
 //! protocol ([`run_spec`]): optional sampling banner, timed run, rendered
-//! table on stdout. The unified `duplo` binary drives the same entry
-//! points, so `duplo run fig09_lhb_size` and the `fig09_lhb_size` binary
-//! produce byte-identical stdout.
+//! table on stdout.
+//!
+//! This crate is the process boundary: it resolves one [`RunOptions`]
+//! from the command line and environment ([`parse_cli`]), then turns the
+//! `--trace`, `--trace-in` and `trace record` requests into the by-value
+//! sink, replay set and recorder the simulator reads ([`with_trace`],
+//! [`with_replay`], [`record_to_file`]).
 //!
 //! JSON files normally carry a `host` block (wall-clock seconds, worker
-//! threads, run-cache hit/miss/byte deltas). Setting `DUPLO_JSON_STABLE`
-//! omits it, making the files byte-identical across machines, thread
-//! counts, and cache states — the CI determinism and cache gates diff two
-//! such runs.
+//! threads, the run's own run-cache hit/miss/byte counts). Setting
+//! `DUPLO_JSON_STABLE` omits it, making the files byte-identical across
+//! machines, thread counts, and cache states — the CI determinism and
+//! cache gates diff two such runs.
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use duplo_sim::RunOptions;
-use duplo_sim::cache;
+use duplo_sim::cache::{CacheStats, CacheTally};
 use duplo_sim::experiments::{
     ExperimentOutput, ExperimentSpec, find_experiment, registry, suggest_experiment,
 };
@@ -73,44 +76,20 @@ pub fn parse_cli(args: &[String], default_sample: Option<usize>) -> Result<RunOp
     RunOptions::from_cli(args, default_sample)
 }
 
-/// Applies the cache-control flags to the process-global run cache.
-///
-/// Deprecated: the cache controls now travel inside [`RunOptions`] and are
-/// honored per run by `GpuSim` (see `duplo_sim::cache::CacheCtl`), so
-/// nothing in this crate mutates global cache state anymore. Kept only for
-/// out-of-tree callers; prefer passing the options to the run entry point.
-#[deprecated(note = "cache flags are carried by RunOptions; pass them to the run entry point")]
-pub fn apply_cache_flags(cli: &RunOptions) {
-    if let Some(dir) = &cli.cache_dir {
-        cache::set_dir(Some(dir.clone()));
-    }
-    if cli.no_cache {
-        cache::set_disabled(true);
-    }
-}
-
-/// The trace destination and options `cli` asks for, if any.
-fn trace_options(cli: &RunOptions) -> Option<(PathBuf, trace::TraceOptions)> {
-    let path = cli.trace.clone()?;
-    let mut opts = trace::TraceOptions::default();
-    if let Some(n) = cli.trace_interval {
-        opts.interval = n;
-    }
-    opts.host_events = cli.trace_full;
-    Some((path, opts))
-}
-
-/// Runs `f` under a trace session when `cli` asks for one, writing the
-/// Chrome trace-event document afterwards. Without `--trace`/`DUPLO_TRACE`
-/// this is exactly `f()` — the simulator takes its untraced path and no
-/// file is touched.
-pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
-    let Some((path, opts)) = trace_options(cli) else {
-        return f();
+/// Runs `f` with a trace sink when `cli` asks for one
+/// (`--trace`/`DUPLO_TRACE`), writing the Chrome trace-event document
+/// afterwards. Otherwise this is exactly `f(cli)` — the simulator runs
+/// untraced and no file is touched.
+pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
+    let Some(path) = &cli.trace else {
+        return f(cli);
     };
-    let session = trace::capture(opts);
-    let out = f();
-    let data = session.finish();
+    let sink = trace::TraceSink::new(cli.trace_options());
+    let out = f(&RunOptions {
+        trace_sink: Some(sink.clone()),
+        ..cli.clone()
+    });
+    let data = sink.finish();
     let doc = data.to_chrome_json();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -118,7 +97,7 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
                 .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));
         }
     }
-    std::fs::write(&path, doc.to_pretty())
+    std::fs::write(path, doc.to_pretty())
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     let events = doc
         .get("traceEvents")
@@ -136,13 +115,13 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `f` under a wtrace replay session when `cli` carries `--trace-in`,
-/// reporting how many kernel runs were substituted afterwards. Without the
-/// flag this is exactly `f()`. A file that fails to read or decode prints
-/// the decoder's positional error and exits with code 2.
-pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
+/// Runs `f` with the `--trace-in` file loaded as the replay set, reporting
+/// how many kernel runs were substituted afterwards. Without the flag this
+/// is exactly `f(cli)`. A file that fails to read or decode prints the
+/// decoder's positional error and exits with code 2.
+pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     let Some(path) = &cli.trace_in else {
-        return f();
+        return f(cli);
     };
     let kernels = match wtrace::load_file(path) {
         Ok(k) => k,
@@ -152,26 +131,32 @@ pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
         }
     };
     let n_kernels = kernels.len();
-    let session = wtrace::replay(kernels);
-    let out = f();
-    let substituted = session.finish();
+    let set = wtrace::ReplaySet::new(kernels);
+    let out = f(&RunOptions {
+        replay: Some(set.clone()),
+        ..cli.clone()
+    });
     log::info(
         "wtrace",
         format_args!(
-            "replayed {} ({n_kernels} kernels, {substituted} runs substituted)",
-            path.display()
+            "replayed {} ({n_kernels} kernels, {} runs substituted)",
+            path.display(),
+            set.substituted()
         ),
     );
     out
 }
 
 /// Records `f`'s kernels to a wtrace file at `path`: every kernel reaching
-/// the simulator while `f` runs is captured (deduplicated by content) and
-/// the encoded document is written afterwards.
-pub fn record_to_file<T>(path: &std::path::Path, f: impl FnOnce() -> T) -> T {
-    let session = wtrace::record();
-    let out = f();
-    let records = session.finish();
+/// the simulator under the options `f` receives is captured (deduplicated
+/// by content) and the encoded document is written afterwards.
+pub fn record_to_file<T>(cli: &RunOptions, path: &Path, f: impl FnOnce(&RunOptions) -> T) -> T {
+    let recorder = wtrace::Recorder::default();
+    let out = f(&RunOptions {
+        record: Some(recorder.clone()),
+        ..cli.clone()
+    });
+    let records = recorder.records();
     wtrace::write_file(path, &records).unwrap_or_else(|e| panic!("cannot write wtrace file: {e}"));
     log::info(
         "wtrace",
@@ -180,18 +165,9 @@ pub fn record_to_file<T>(path: &std::path::Path, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Parses experiment options from `std::env::args`.
-///
-/// `default_sample` is used when neither `--sample` nor `--full` is given.
-pub fn opts_from_args(default_sample: Option<usize>) -> RunOptions {
-    cli_from_args(default_sample)
-}
-
 /// Parses the full shared command line (sampling + JSON + cache + trace
-/// flags). On a bad argument it prints the error and usage to stderr and
-/// exits with code 2 — no panic, no backtrace. Cache flags are **not**
-/// applied globally: they ride in the returned options and take effect per
-/// run.
+/// flags) from `std::env::args`. On a bad argument it prints the error and
+/// usage to stderr and exits with code 2 — no panic, no backtrace.
 pub fn cli_from_args(default_sample: Option<usize>) -> RunOptions {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_cli(&args, default_sample) {
@@ -247,12 +223,18 @@ pub fn json_stable() -> bool {
     std::env::var_os("DUPLO_JSON_STABLE").is_some()
 }
 
-/// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set) and writes the
-/// result to `path`, noting the write on stderr.
-pub fn write_result(path: &std::path::Path, mut result: ExperimentResult, wall_clock_s: f64) {
+/// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set) — wall-clock
+/// seconds and the worker threads `opts` ran with — and writes the result
+/// to `path`, noting the write on stderr.
+pub fn write_result(
+    path: &Path,
+    mut result: ExperimentResult,
+    wall_clock_s: f64,
+    opts: &RunOptions,
+) {
     if !json_stable() {
         result.wall_clock_s = Some(wall_clock_s);
-        result.workers = Some(duplo_sim::runner::max_threads());
+        result.workers = Some(duplo_sim::runner::resolve_threads(opts.threads));
     }
     result
         .write(path)
@@ -261,16 +243,21 @@ pub fn write_result(path: &std::path::Path, mut result: ExperimentResult, wall_c
 }
 
 /// Executes one registered experiment: timed run (when `spec.timed`), the
-/// run-cache counter delta reported on stderr and stamped into the result
-/// (unless `DUPLO_JSON_STABLE`). Returns the output and elapsed seconds.
-fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64) {
-    let before = cache::stats();
-    let (mut out, secs) = if spec.timed {
-        timed_secs(spec.tag, || (spec.run)(opts))
-    } else {
-        ((spec.run)(opts), 0.0)
+/// run's own cache counts reported on stderr and stamped into the result
+/// (unless `DUPLO_JSON_STABLE`). Returns the output, elapsed seconds and
+/// cache counts.
+fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64, CacheStats) {
+    let tally = CacheTally::default();
+    let opts = RunOptions {
+        cache_tally: Some(tally.clone()),
+        ..opts.clone()
     };
-    let delta = cache::stats().since(&before);
+    let (mut out, secs) = if spec.timed {
+        timed_secs(spec.tag, || (spec.run)(&opts))
+    } else {
+        ((spec.run)(&opts), 0.0)
+    };
+    let delta = tally.get();
     log::info(
         spec.tag,
         format_args!(
@@ -283,27 +270,27 @@ fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64) 
         out.result.cache_misses = Some(delta.misses);
         out.result.cache_bytes = Some(delta.bytes);
     }
-    (out, secs)
+    (out, secs, delta)
 }
 
-/// Runs one registered experiment under the standalone-binary protocol:
+/// Runs one registered experiment under the `duplo run` protocol:
 /// optional sampling banner, timed run, rendered table on stdout, and
-/// `--json` output. Stdout is byte-identical to the original per-figure
-/// binaries (banners and tables only; timing and cache stats are stderr).
+/// `--json` output (banners and tables only on stdout; timing and cache
+/// stats are stderr).
 pub fn run_spec(spec: &ExperimentSpec, cli: &RunOptions) -> ExperimentResult {
     if spec.banner {
         banner(spec.tag, cli);
     }
-    let (out, secs) = execute(spec, cli);
+    let (out, secs, _) = execute(spec, cli);
     print!("{}", out.rendered);
     if let Some(path) = &cli.json {
-        write_result(path, out.result.clone(), secs);
+        write_result(path, out.result.clone(), secs, cli);
     }
     out.result
 }
 
-/// Runs the registered experiment `name` under the standalone-binary
-/// protocol ([`run_spec`]). Unknown names print the registry hint — with a
+/// Runs the registered experiment `name` under the `duplo run` protocol
+/// ([`run_spec`]). Unknown names print the registry hint — with a
 /// nearest-name suggestion when one is close — and exit with code 2.
 pub fn run_named(name: &str, cli: &RunOptions) -> ExperimentResult {
     let Some(spec) = find_experiment(name) else {
@@ -324,15 +311,6 @@ pub fn exit_unknown_experiment(name: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Entry point for the thin per-figure wrapper binaries: resolve `name`
-/// in the registry, parse the command line with the experiment's default
-/// sampling, and run it.
-pub fn standalone(name: &str) {
-    let spec = find_experiment(name).expect("wrapper binaries name registered experiments");
-    let cli = cli_from_args(spec.default_sample);
-    with_trace(&cli, || with_replay(&cli, || run_spec(spec, &cli)));
-}
-
 /// Runs a batch of registered experiments under the `all_experiments`
 /// protocol: one `[all]` banner, every table on stdout in registry order,
 /// and (under `--json-dir`) one JSON file per experiment plus the
@@ -344,7 +322,7 @@ pub fn standalone(name: &str) {
 pub fn run_all(cli: &RunOptions, full_registry: bool) {
     banner("all", cli);
     let total = std::time::Instant::now();
-    let run_start = cache::stats();
+    let mut cache_delta = CacheStats::default();
     let specs: Vec<&ExperimentSpec> = registry()
         .iter()
         .filter(|s| full_registry || s.in_all)
@@ -357,26 +335,27 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
     // (structured result, wall-clock seconds) per experiment, in run order.
     let mut results: Vec<(ExperimentResult, f64)> = Vec::new();
     for spec in specs {
-        let (out, secs) = execute(spec, cli);
+        let (out, secs, delta) = execute(spec, cli);
         print!("{}", out.rendered);
         results.push((out.result, secs));
+        cache_delta.hits += delta.hits;
+        cache_delta.misses += delta.misses;
+        cache_delta.bytes += delta.bytes;
         let done = results.len();
         if last_beat.elapsed().as_secs_f64() >= 1.0 || done == n_specs {
             last_beat = std::time::Instant::now();
-            let so_far = cache::stats().since(&run_start);
             log::info(
                 "all",
                 format_args!(
                     "{done}/{n_specs} experiments, {:.1}s elapsed, cache hits={} misses={}",
                     total.elapsed().as_secs_f64(),
-                    so_far.hits,
-                    so_far.misses
+                    cache_delta.hits,
+                    cache_delta.misses
                 ),
             );
         }
     }
     let wall = total.elapsed().as_secs_f64();
-    let cache_delta = cache::stats().since(&run_start);
     log::info("all", format_args!("wall-clock: {wall:.3}s"));
     log::info(
         "all",
@@ -397,7 +376,7 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
                     "host".to_string(),
                     Json::obj()
                         .field("wall_clock_s", wall)
-                        .field("workers", duplo_sim::runner::max_threads())
+                        .field("workers", duplo_sim::runner::resolve_threads(cli.threads))
                         .field("cache_hits", cache_delta.hits)
                         .field("cache_misses", cache_delta.misses)
                         .field("cache_bytes", cache_delta.bytes)
@@ -407,7 +386,7 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
         }
         for (result, secs) in results {
             let path = dir.join(format!("{}.json", result.name));
-            write_result(&path, result, secs);
+            write_result(&path, result, secs, cli);
         }
         let roll_path = dir.join("BENCH_duplo.json");
         std::fs::write(&roll_path, roll.to_pretty())
@@ -416,14 +395,18 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
     }
 }
 
-/// Runs `spec` once with the run cache bypassed, in event-driven or
+/// Runs `spec` once with the run cache off, in event-driven or
 /// tick-by-tick reference mode, returning the rendered table, the
 /// simulated-cycle delta, and the wall-clock seconds.
 fn measure_spec(spec: &ExperimentSpec, opts: &RunOptions, reference: bool) -> (String, u64, f64) {
-    // Mode selection travels by value: the clone reaches every driver's
-    // `GpuSim`, which picks the SM loop per run — no process-global flip.
-    let mut opts = opts.clone();
-    opts.tick_reference = reference;
+    // Mode and cache selection travel by value: the clone reaches every
+    // driver's `GpuSim`, which picks the SM loop per run. Cached results
+    // would turn the measurement (and the mode comparison) into a no-op.
+    let opts = RunOptions {
+        tick_reference: reference,
+        no_cache: true,
+        ..opts.clone()
+    };
     let cycles_before = duplo_sm::simulated_cycles();
     let t0 = std::time::Instant::now();
     let out = (spec.run)(&opts);
@@ -446,11 +429,8 @@ fn measure_spec(spec: &ExperimentSpec, opts: &RunOptions, reference: bool) -> (S
 ///
 /// Panics when an experiment's event-driven output diverges from the
 /// reference loop, or when the report cannot be written.
-pub fn run_bench(out: &std::path::Path, cli: &RunOptions) {
+pub fn run_bench(out: &Path, cli: &RunOptions) {
     use duplo_testkit::bench::{BenchEntry, BenchReport, MetricValue};
-    // Bypass the run cache process-wide: cached results would turn the
-    // measurement (and the mode comparison) into a no-op.
-    let _nocache = cache::bypass();
     let opts = cli;
     let mut report = BenchReport {
         schema: duplo_sim::results::SCHEMA_VERSION,
@@ -563,6 +543,7 @@ pub fn run_bench(out: &std::path::Path, cli: &RunOptions) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -669,10 +650,38 @@ mod tests {
             vec![],
             Json::obj().field("k", 1u64).build(),
         );
-        write_result(&path, r, 0.5);
+        let opts = RunOptions {
+            threads: Some(3),
+            ..RunOptions::default()
+        };
+        write_result(&path, r, 0.5, &opts);
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = parse(&text).expect("file must parse");
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("demo"));
+        if !json_stable() {
+            let workers = doc.get("host").and_then(|h| h.get("workers"));
+            assert_eq!(
+                workers.and_then(Json::as_u64),
+                Some(3),
+                "the host block reports the run's own thread count"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bench_event_leg_takes_event_skips() {
+        let spec = find_experiment("smem_policy").expect("registered experiment");
+        let opts = RunOptions {
+            sample_ctas: Some(1),
+            ..RunOptions::default()
+        };
+        let before = duplo_sm::loop_profile().skips_taken;
+        let (_, cycles, _) = measure_spec(spec, &opts, false);
+        assert!(cycles > 0, "the experiment simulates");
+        assert!(
+            duplo_sm::loop_profile().skips_taken > before,
+            "the event column must run the event-driven loop"
+        );
     }
 }

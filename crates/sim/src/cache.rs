@@ -19,8 +19,8 @@
 //!   simulates; concurrent requesters for the same key block until the
 //!   leader publishes, so two [`crate::runner`] workers never simulate
 //!   the same point twice.
-//! * **Disk tier** — optional (`DUPLO_CACHE_DIR`, or `--cache-dir` /
-//!   [`set_dir`] from the CLI): results persist as `<digest>.json` via
+//! * **Disk tier** — optional ([`CacheCtl::dir`], from `--cache-dir` /
+//!   `DUPLO_CACHE_DIR` at the CLI): results persist as `<digest>.json` via
 //!   [`crate::json`], so a later process serves repeats from disk.
 //!   Corrupted, truncated, or schema-mismatched entries fall back to
 //!   simulation and are rewritten; all disk I/O is best-effort.
@@ -33,15 +33,17 @@
 //! counter per tier (`duplo_cache_hits_total{tier="memory"|"disk"|
 //! "flight"}`, `duplo_cache_misses_total`, `duplo_cache_disk_bytes_total
 //! {dir="read"|"write"}`); [`stats`] sums them back into the historical
-//! [`CacheStats`] shape. The experiment harness surfaces per-run deltas
-//! in the `ExperimentResult` host block (and therefore outside the
-//! `DUPLO_JSON_STABLE` byte-stable payload). The counters are exempt from
-//! the `DUPLO_METRICS=off` kill switch — they feed non-telemetry APIs.
+//! [`CacheStats`] shape. The counters are exempt from the
+//! `DUPLO_METRICS=off` kill switch — they feed non-telemetry APIs. Each
+//! lookup is also counted in its run's own [`CacheTally`] (when the
+//! [`CacheCtl`] carries one), which is what the experiment harness and
+//! `duplo serve` report per run: exact even while other runs share the
+//! process.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use duplo_isa::Kernel;
 use duplo_sm::{SchedulerPolicy, SmStats};
@@ -70,9 +72,8 @@ pub const CACHE_MODEL_SALT: u64 = 2;
 /// The cache's registry metrics, one counter per tier so an operator can
 /// tell memory hits from disk hits from single-flight rides. Registered
 /// *exempt* from the `DUPLO_METRICS=off` kill switch: these counters
-/// feed [`stats`] (and through it the `cache:` stderr lines and the
-/// daemon's `X-Duplo-Cache-*` headers), so disabling telemetry must not
-/// change what they report.
+/// feed [`stats`] (and through it the CI greps and `/v1/metrics`), so
+/// disabling telemetry must not change what they report.
 struct CacheMetrics {
     mem_hits: metrics::Counter,
     disk_hits: metrics::Counter,
@@ -112,13 +113,11 @@ fn cm() -> &'static CacheMetrics {
     })
 }
 
-/// `--no-cache`: every lookup computes, nothing is stored.
-static DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Active [`bypass`] guards (test aid; counted so guards nest).
+/// Active [`bypass`] guards (counted so guards nest).
 static BYPASS: AtomicUsize = AtomicUsize::new(0);
 
-/// Snapshot of the process-global cache counters.
+/// Cache counters: a snapshot of the process-wide ones ([`stats`]) or
+/// one run's ([`CacheTally::get`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served without simulating (memory, disk, or single-flight
@@ -152,11 +151,6 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Disables (or re-enables) the cache process-wide (`--no-cache`).
-pub fn set_disabled(disabled: bool) {
-    DISABLED.store(disabled, Ordering::Release);
-}
-
 /// RAII guard from [`bypass`]; re-enables caching on drop.
 pub struct BypassGuard(());
 
@@ -166,113 +160,97 @@ impl Drop for BypassGuard {
     }
 }
 
-/// Bypasses the cache for the guard's lifetime (lookups compute and store
-/// nothing, counters untouched). Test aid: the determinism suite compares
-/// repeated runs of the *simulator*, which memoization would short-circuit.
-/// Guards nest; the cache is bypassed while any guard is alive.
+/// Bypasses the cache process-wide for the guard's lifetime (lookups
+/// compute and store nothing, counters untouched) — for harnesses that
+/// time the simulator itself. A single run opts out by value instead
+/// ([`crate::RunOptions::no_cache`]). Guards nest; the cache is bypassed
+/// while any guard is alive.
 pub fn bypass() -> BypassGuard {
     BYPASS.fetch_add(1, Ordering::AcqRel);
     BypassGuard(())
 }
 
-fn active() -> bool {
-    !DISABLED.load(Ordering::Acquire) && BYPASS.load(Ordering::Acquire) == 0
+/// One lookup outcome, counted globally and in the run's tally.
+enum Outcome {
+    MemHit,
+    FlightHit,
+    DiskHit,
+    Miss,
+    DiskRead(u64),
+    DiskWrite(u64),
+}
+
+/// Per-run cache counters (see [`CacheCtl::tally`]). Clones share one
+/// set of counters, so every `GpuSim` of one experiment invocation or
+/// one served submission adds into the same tally.
+#[derive(Clone, Default)]
+pub struct CacheTally(Arc<[AtomicU64; 3]>);
+
+impl std::fmt::Debug for CacheTally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// Tallies compare by identity (shared counters).
+impl PartialEq for CacheTally {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl CacheTally {
+    /// The counts so far, in the [`CacheStats`] shape.
+    pub fn get(&self) -> CacheStats {
+        let [hits, misses, bytes] = &*self.0;
+        CacheStats {
+            hits: hits.load(Ordering::Relaxed),
+            misses: misses.load(Ordering::Relaxed),
+            bytes: bytes.load(Ordering::Relaxed),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Per-run cache control
 // ---------------------------------------------------------------------------
 
-/// By-value cache controls for one run (see [`crate::RunOptions`]).
-///
-/// The default value defers entirely to the process-global state
-/// ([`set_disabled`], [`set_dir`], the `DUPLO_CACHE_DIR` environment
-/// variable), so code that does not thread options behaves exactly as
-/// before. The process-global kill switches ([`set_disabled`],
-/// [`bypass`]) still apply on top of any per-run setting — a test that
-/// bypasses the cache wins over a request that asks for it.
+/// By-value cache controls for one run (see [`crate::RunOptions`]). The
+/// process-wide [`bypass`] guard still applies on top of any per-run
+/// setting.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CacheCtl {
     /// Neither look up nor store entries for this run (`--no-cache`).
     pub disabled: bool,
-    /// Disk-tier directory for this run; `None` defers to [`resolve_dir`].
+    /// Disk-tier directory for this run; `None` keeps it memory-only.
     pub dir: Option<PathBuf>,
+    /// Counters for this run's lookups alone.
+    pub tally: Option<CacheTally>,
 }
 
 impl CacheCtl {
     fn active(&self) -> bool {
-        !self.disabled && active()
+        !self.disabled && BYPASS.load(Ordering::Acquire) == 0
     }
 
-    fn dir(&self) -> Option<PathBuf> {
-        self.dir.clone().or_else(resolve_dir)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Disk-tier directory resolution
-// ---------------------------------------------------------------------------
-
-/// `Some(override)` once [`set_dir`] ran; the inner option is the dir
-/// itself (`None` = explicitly memory-only). `None` defers to the
-/// `DUPLO_CACHE_DIR` environment variable.
-#[allow(clippy::type_complexity)]
-static DIR_OVERRIDE: OnceLock<Mutex<Option<Option<PathBuf>>>> = OnceLock::new();
-
-/// Serializes [`scoped_dir`] scopes so concurrent tests cannot clobber
-/// each other's directory override (same pattern as
-/// [`crate::runner::override_threads`]).
-static SCOPE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn dir_override() -> &'static Mutex<Option<Option<PathBuf>>> {
-    DIR_OVERRIDE.get_or_init(|| Mutex::new(None))
-}
-
-/// Sets the disk-tier directory programmatically (`--cache-dir`), taking
-/// precedence over `DUPLO_CACHE_DIR`. `None` forces memory-only caching.
-pub fn set_dir(dir: Option<PathBuf>) {
-    let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(dir);
-}
-
-/// The disk-tier directory currently in effect, if any.
-pub fn resolve_dir() -> Option<PathBuf> {
-    {
-        let slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(over) = slot.as_ref() {
-            return over.clone();
+    /// Counts `o` in the process-wide registry and in this run's tally.
+    fn count(&self, o: Outcome) {
+        let m = cm();
+        let (counter, n, tally) = match o {
+            Outcome::MemHit => (&m.mem_hits, 1, [1, 0, 0]),
+            Outcome::FlightHit => (&m.flight_hits, 1, [1, 0, 0]),
+            Outcome::DiskHit => (&m.disk_hits, 1, [1, 0, 0]),
+            Outcome::Miss => (&m.misses, 1, [0, 1, 0]),
+            Outcome::DiskRead(n) => (&m.disk_read_bytes, n, [0, 0, n]),
+            Outcome::DiskWrite(n) => (&m.disk_write_bytes, n, [0, 0, n]),
+        };
+        counter.add(n);
+        if let Some(t) = &self.tally {
+            for (cell, n) in t.0.iter().zip(tally) {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
-    std::env::var_os("DUPLO_CACHE_DIR").map(PathBuf::from)
-}
-
-/// RAII guard from [`scoped_dir`]; restores the previous override (and
-/// releases the serialization lock) on drop.
-pub struct DirGuard {
-    prev: Option<Option<PathBuf>>,
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for DirGuard {
-    fn drop(&mut self) {
-        let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = self.prev.take();
-    }
-}
-
-/// Overrides the disk-tier directory for the guard's lifetime (test aid).
-/// `None` forces memory-only caching regardless of `DUPLO_CACHE_DIR`.
-/// Guards serialize on a global lock, so concurrent tests queue rather
-/// than interleave their overrides.
-pub fn scoped_dir(dir: Option<PathBuf>) -> DirGuard {
-    let lock = SCOPE_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-    let prev = slot.replace(dir);
-    drop(slot);
-    DirGuard { prev, _lock: lock }
 }
 
 // ---------------------------------------------------------------------------
@@ -360,22 +338,14 @@ impl Drop for AbandonOnPanic {
 // ---------------------------------------------------------------------------
 
 /// Serves a simulation run from the cache, computing it via `compute` on a
-/// miss, under the default (process-global) cache controls.
-pub fn run_cached(
-    cfg: &GpuConfig,
-    kernel: &dyn Kernel,
-    compute: impl FnOnce() -> GpuRunResult,
-) -> GpuRunResult {
-    run_cached_ctl(&CacheCtl::default(), cfg, kernel, compute)
-}
-
-/// Serves a simulation run from the cache, computing it via `compute` on a
 /// miss. This is the sole entry point [`crate::GpuSim::run`] goes through,
-/// so every experiment driver and sweep inherits memoization. `ctl`
-/// carries the per-run controls ([`crate::RunOptions`]); the memory tier
-/// and its single-flight protocol are process-wide regardless, so
-/// concurrent runs with different disk settings still collapse identical
-/// keys to one simulation.
+/// traced or not, so every experiment driver and sweep inherits
+/// memoization. `ctl` carries the per-run controls
+/// ([`crate::RunOptions::cache_ctl`]); the memory tier and its
+/// single-flight protocol are process-wide regardless, so concurrent runs
+/// with different disk settings still collapse identical keys to one
+/// simulation. `compute` runs at most once, and only on the leader of a
+/// miss — a caller can tell a cache-served result by it not running.
 pub fn run_cached_ctl(
     ctl: &CacheCtl,
     cfg: &GpuConfig,
@@ -411,11 +381,11 @@ pub fn run_cached_ctl(
                 loop {
                     match &*st {
                         SlotState::Ready(r) => {
-                            if waited {
-                                cm().flight_hits.inc();
+                            ctl.count(if waited {
+                                Outcome::FlightHit
                             } else {
-                                cm().mem_hits.inc();
-                            }
+                                Outcome::MemHit
+                            });
                             return r.clone();
                         }
                         SlotState::Abandoned => break,
@@ -435,12 +405,12 @@ pub fn run_cached_ctl(
                 };
                 let result = match disk_load(ctl, key) {
                     Some(r) => {
-                        cm().disk_hits.inc();
+                        ctl.count(Outcome::DiskHit);
                         r
                     }
                     None => {
                         let r = (compute.take().expect("leader computes once"))();
-                        cm().misses.inc();
+                        ctl.count(Outcome::Miss);
                         disk_store(ctl, key, &r);
                         r
                     }
@@ -455,73 +425,6 @@ pub fn run_cached_ctl(
             }
         }
     }
-}
-
-/// [`lookup_ready_ctl`] under the default (process-global) controls.
-pub fn lookup_ready(cfg: &GpuConfig, kernel: &dyn Kernel) -> Option<GpuRunResult> {
-    lookup_ready_ctl(&CacheCtl::default(), cfg, kernel)
-}
-
-/// Non-blocking cache lookup used by the traced simulation path
-/// ([`crate::trace`]): returns the published result for `(cfg, kernel)`
-/// from the memory or disk tier, without entering the single-flight
-/// protocol (an in-flight leader is treated as a miss rather than waited
-/// on). Counts a hit exactly like [`run_cached`] would.
-pub fn lookup_ready_ctl(
-    ctl: &CacheCtl,
-    cfg: &GpuConfig,
-    kernel: &dyn Kernel,
-) -> Option<GpuRunResult> {
-    if !ctl.active() {
-        return None;
-    }
-    let key = run_key(cfg, kernel);
-    {
-        let map = shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = map.get(&key) {
-            let st = slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let SlotState::Ready(r) = &*st {
-                cm().mem_hits.inc();
-                return Some(r.clone());
-            }
-            return None; // in-flight or abandoned: let the caller simulate
-        }
-    }
-    let r = disk_load(ctl, key)?;
-    cm().disk_hits.inc();
-    publish_memory(key, &r);
-    Some(r)
-}
-
-/// [`publish_ctl`] under the default (process-global) controls.
-pub fn publish(cfg: &GpuConfig, kernel: &dyn Kernel, r: &GpuRunResult) {
-    publish_ctl(&CacheCtl::default(), cfg, kernel, r);
-}
-
-/// Publishes a result computed outside [`run_cached`] (the traced path)
-/// into both tiers and counts the miss. An existing in-flight slot is left
-/// alone — its leader will publish its own identical result.
-pub fn publish_ctl(ctl: &CacheCtl, cfg: &GpuConfig, kernel: &dyn Kernel, r: &GpuRunResult) {
-    if !ctl.active() {
-        return;
-    }
-    let key = run_key(cfg, kernel);
-    cm().misses.inc();
-    publish_memory(key, r);
-    disk_store(ctl, key, r);
-}
-
-/// Inserts a ready entry into the memory tier unless the key is occupied.
-fn publish_memory(key: u128, r: &GpuRunResult) {
-    let mut map = shard(key).lock().unwrap_or_else(|e| e.into_inner());
-    if map.contains_key(&key) {
-        return;
-    }
-    let slot = Arc::new(Slot {
-        state: Mutex::new(SlotState::Ready(r.clone())),
-        cv: Condvar::new(),
-    });
-    map.insert(key, slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -685,25 +588,25 @@ fn entry_path(dir: &Path, key: u128) -> PathBuf {
 }
 
 fn disk_load(ctl: &CacheCtl, key: u128) -> Option<GpuRunResult> {
-    let dir = ctl.dir()?;
-    let text = std::fs::read_to_string(entry_path(&dir, key)).ok()?;
+    let dir = ctl.dir.as_ref()?;
+    let text = std::fs::read_to_string(entry_path(dir, key)).ok()?;
     let doc = parse(&text).ok()?;
     let result = result_from_json(&doc)?;
-    cm().disk_read_bytes.add(text.len() as u64);
+    ctl.count(Outcome::DiskRead(text.len() as u64));
     Some(result)
 }
 
 fn disk_store(ctl: &CacheCtl, key: u128, r: &GpuRunResult) {
-    let Some(dir) = ctl.dir() else { return };
-    if std::fs::create_dir_all(&dir).is_err() {
+    let Some(dir) = &ctl.dir else { return };
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let text = result_to_json(r).to_pretty();
     // Atomic publish: write a private temp file, then rename over the
     // entry, so concurrent processes never observe a torn write.
     let tmp = dir.join(format!(".{}.tmp.{}", digest::hex(key), std::process::id()));
-    if std::fs::write(&tmp, &text).is_ok() && std::fs::rename(&tmp, entry_path(&dir, key)).is_ok() {
-        cm().disk_write_bytes.add(text.len() as u64);
+    if std::fs::write(&tmp, &text).is_ok() && std::fs::rename(&tmp, entry_path(dir, key)).is_ok() {
+        ctl.count(Outcome::DiskWrite(text.len() as u64));
     } else {
         let _ = std::fs::remove_file(&tmp);
     }

@@ -9,7 +9,7 @@
 
 use super::RunOptions;
 use crate::report::{Table, fmt_pct};
-use crate::{GpuConfig, layer_run_opts};
+use crate::{GpuConfig, layer_run};
 use duplo_core::LhbConfig;
 use duplo_sm::SchedulerPolicy;
 
@@ -36,10 +36,10 @@ fn probe_layers() -> Vec<duplo_conv::layers::LayerSpec> {
 fn measure(mut mutate: impl FnMut(&mut GpuConfig), opts: &RunOptions, variant: &str) -> Row {
     let mut cfg = opts.apply(GpuConfig::titan_v());
     mutate(&mut cfg);
-    let per_layer = crate::runner::par_map_opt(opts.threads, &probe_layers(), |l| {
+    let per_layer = crate::runner::par_map_opt(opts, &probe_layers(), |l| {
         let p = l.lowered();
-        let base = layer_run_opts(&p, None, &cfg, opts);
-        let duplo = layer_run_opts(&p, Some(LhbConfig::paper_default()), &cfg, opts);
+        let base = layer_run(&p, None, &cfg, opts);
+        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &cfg, opts);
         (base.cycles / duplo.cycles, duplo.stats.lhb.hit_rate())
     });
     let ratios: Vec<f64> = per_layer.iter().map(|&(r, _)| r).collect();

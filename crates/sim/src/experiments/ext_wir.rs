@@ -8,7 +8,7 @@
 
 use super::{RunOptions, table1_layers};
 use crate::report::{Table, fmt_pct, fmt_pct_opt, fmt_pct_plain, gmean};
-use crate::{GpuConfig, layer_run_opts};
+use crate::{GpuConfig, layer_run};
 use duplo_core::LhbConfig;
 
 /// One layer's Duplo-vs-WIR comparison.
@@ -33,9 +33,9 @@ pub fn run(opts: &RunOptions) -> Vec<Row> {
         .iter()
         .map(|l| {
             let p = l.lowered();
-            let base = layer_run_opts(&p, None, &gpu, opts);
-            let wir = layer_run_opts(&p, Some(LhbConfig::wir(1024)), &gpu, opts);
-            let duplo = layer_run_opts(&p, Some(LhbConfig::direct_mapped(1024)), &gpu, opts);
+            let base = layer_run(&p, None, &gpu, opts);
+            let wir = layer_run(&p, Some(LhbConfig::wir(1024)), &gpu, opts);
+            let duplo = layer_run(&p, Some(LhbConfig::direct_mapped(1024)), &gpu, opts);
             Row {
                 layer: l.qualified_name(),
                 wir_improvement: base.cycles / wir.cycles - 1.0,
@@ -120,8 +120,8 @@ mod tests {
         };
         let gpu = opts.apply(GpuConfig::titan_v());
         let p = networks::resnet()[1].lowered();
-        let wir = layer_run(&p, Some(LhbConfig::wir(1024)), &gpu);
-        let duplo = layer_run(&p, Some(LhbConfig::direct_mapped(1024)), &gpu);
+        let wir = layer_run(&p, Some(LhbConfig::wir(1024)), &gpu, &opts);
+        let duplo = layer_run(&p, Some(LhbConfig::direct_mapped(1024)), &gpu, &opts);
         assert!(
             duplo.stats.eliminated_loads > wir.stats.eliminated_loads,
             "Duplo ({}) must eliminate more than WIR ({})",

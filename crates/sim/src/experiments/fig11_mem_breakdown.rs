@@ -3,7 +3,7 @@
 
 use super::{RunOptions, table1_layers};
 use crate::report::{Table, fmt_pct_plain};
-use crate::{GpuConfig, GpuRunResult, layer_run_opts};
+use crate::{GpuConfig, GpuRunResult, layer_run};
 use duplo_core::LhbConfig;
 
 /// Service-share breakdown of one run.
@@ -53,10 +53,10 @@ pub struct Row {
 /// job per layer; each job runs its baseline and Duplo pair).
 pub fn run(opts: &RunOptions) -> Vec<Row> {
     let gpu = opts.apply(GpuConfig::titan_v());
-    crate::runner::par_map_opt(opts.threads, &table1_layers(), |l| {
+    crate::runner::par_map_opt(opts, &table1_layers(), |l| {
         let p = l.lowered();
-        let base = layer_run_opts(&p, None, &gpu, opts);
-        let duplo = layer_run_opts(&p, Some(LhbConfig::paper_default()), &gpu, opts);
+        let base = layer_run(&p, None, &gpu, opts);
+        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu, opts);
         let dram_delta =
             duplo.stats.mem.dram_bytes as f64 / base.stats.mem.dram_bytes.max(1) as f64 - 1.0;
         Row {
@@ -161,8 +161,8 @@ mod tests {
         };
         let gpu = opts.apply(GpuConfig::titan_v());
         let p = networks::resnet()[1].lowered();
-        let base = layer_run(&p, None, &gpu);
-        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu);
+        let base = layer_run(&p, None, &gpu, &opts);
+        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu, &opts);
         let bs = Shares::of(&base);
         let ds = Shares::of(&duplo);
         assert_eq!(bs.lhb, 0.0);

@@ -2,7 +2,7 @@
 
 use super::{RunOptions, table1_layers};
 use crate::report::{Table, fmt_pct, fmt_pct_opt, gmean};
-use crate::{GpuConfig, layer_run_opts};
+use crate::{GpuConfig, layer_run};
 use duplo_core::LhbConfig;
 
 /// One layer's Duplo improvement at each batch size.
@@ -26,10 +26,10 @@ pub fn run(opts: &RunOptions) -> Vec<Row> {
     let jobs: Vec<(usize, usize)> = (0..layers.len())
         .flat_map(|li| BATCHES.iter().map(move |&b| (li, b)))
         .collect();
-    let results = crate::runner::par_map_opt(opts.threads, &jobs, |&(li, b)| {
+    let results = crate::runner::par_map_opt(opts, &jobs, |&(li, b)| {
         let p = layers[li].with_batch(b).lowered();
-        let base = layer_run_opts(&p, None, &gpu, opts);
-        let duplo = layer_run_opts(&p, Some(LhbConfig::paper_default()), &gpu, opts);
+        let base = layer_run(&p, None, &gpu, opts);
+        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu, opts);
         base.cycles / duplo.cycles - 1.0
     });
 

@@ -3,7 +3,7 @@
 use super::RunOptions;
 use crate::networks::{self, LayerKind, LayerSpec, Network};
 use crate::report::{Table, fmt_pct_plain};
-use crate::{GpuConfig, GpuSim, layer_run_opts};
+use crate::{GpuConfig, GpuSim, layer_run};
 use duplo_conv::ConvParams;
 use duplo_conv::transposed::TransposedConvParams;
 use duplo_core::LhbConfig;
@@ -73,17 +73,17 @@ fn run_network(net: Network, opts: &RunOptions) -> Row {
     let lhb = LhbConfig::paper_default();
     let layers = networks::layers_of(net);
     let jobs: Vec<(usize, &LayerSpec)> = layers.iter().enumerate().collect();
-    let per_layer = crate::runner::par_map_opt(opts.threads, &jobs, |&(i, layer)| {
+    let per_layer = crate::runner::par_map_opt(opts, &jobs, |&(i, layer)| {
         let p = layer.lowered();
         let fwd = (
-            layer_run_opts(&p, None, &gpu, opts).cycles,
-            layer_run_opts(&p, Some(lhb), &gpu, opts).cycles,
+            layer_run(&p, None, &gpu, opts).cycles,
+            layer_run(&p, Some(lhb), &gpu, opts).cycles,
         );
         // dX (skipped for the first layer, which needs no input gradient).
         let dx = match if i > 0 { dx_conv(layer) } else { None } {
             Some(dx) => (
-                layer_run_opts(&dx, None, &gpu, opts).cycles,
-                layer_run_opts(&dx, Some(lhb), &gpu, opts).cycles,
+                layer_run(&dx, None, &gpu, opts).cycles,
+                layer_run(&dx, Some(lhb), &gpu, opts).cycles,
             ),
             None => (0.0, 0.0),
         };

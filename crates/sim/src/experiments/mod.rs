@@ -24,7 +24,7 @@ pub mod workloads;
 pub use crate::options::RunOptions;
 
 use crate::GpuRunResult;
-use crate::gpu::layer_run_opts;
+use crate::gpu::layer_run;
 use crate::networks::{self, LayerSpec};
 use duplo_core::LhbConfig;
 
@@ -66,7 +66,7 @@ impl LayerSweep {
 /// Sweeps every Table I layer over `configs` (plus a baseline run each).
 ///
 /// The whole (layer, config) grid is flattened and fanned out over
-/// [`crate::runner::par_map`], so slow layers don't serialize behind each
+/// [`crate::runner::par_map_opt`], so slow layers don't serialize behind each
 /// other; results are regrouped in input order, keeping the rendered
 /// tables identical at any thread count.
 pub fn sweep_layers(
@@ -81,8 +81,8 @@ pub fn sweep_layers(
             std::iter::once((li, None)).chain(configs.iter().map(move |c| (li, Some(*c))))
         })
         .collect();
-    let results = crate::runner::par_map_opt(opts.threads, &jobs, |&(li, lhb)| {
-        layer_run_opts(&params[li], lhb, &gpu, opts)
+    let results = crate::runner::par_map_opt(opts, &jobs, |&(li, lhb)| {
+        layer_run(&params[li], lhb, &gpu, opts)
     });
 
     let mut it = results.into_iter();
@@ -117,16 +117,15 @@ use crate::results::ExperimentResult;
 /// Output of one registry-driven experiment run: the rendered table (for
 /// stdout and EXPERIMENTS.md) plus the structured result (for JSON).
 pub struct ExperimentOutput {
-    /// Human-facing table, exactly as the per-figure binary prints it.
+    /// Human-facing table, exactly as `duplo run` prints it.
     pub rendered: String,
     /// Machine-readable result (see [`crate::results`]).
     pub result: ExperimentResult,
 }
 
 /// One registered experiment. The registry is the single source of truth
-/// the `duplo` CLI, the per-figure wrapper binaries, and `all_experiments`
-/// all iterate — adding an experiment is one entry here, not edits across
-/// three binaries.
+/// the `duplo` CLI, `duplo serve` and `all_experiments` all iterate —
+/// adding an experiment is one entry here.
 pub struct ExperimentSpec {
     /// Stable machine name (matches the result's `experiment` field).
     pub name: &'static str,
@@ -136,7 +135,7 @@ pub struct ExperimentSpec {
     pub paper_ref: &'static str,
     /// Short tag used in banner/timing stderr lines (`fig09`, `energy`).
     pub tag: &'static str,
-    /// Whether the standalone binary prints the sampling banner.
+    /// Whether `duplo run` prints the sampling banner.
     pub banner: bool,
     /// Whether the run is timed (stderr wall-clock line); `false` only
     /// for config dumps that simulate nothing.
@@ -145,14 +144,14 @@ pub struct ExperimentSpec {
     /// (`None` = full CTA shares).
     pub default_sample: Option<usize>,
     /// Whether `all_experiments` includes this experiment (the
-    /// EXPERIMENTS.md set; extensions and ablations are standalone-only).
+    /// EXPERIMENTS.md set; extensions and ablations run only by name).
     pub in_all: bool,
     /// Runs the experiment.
     pub run: fn(&RunOptions) -> ExperimentOutput,
 }
 
 /// All registered experiments, in `all_experiments` output order (the
-/// `in_all` subset first, standalone-only extras after).
+/// `in_all` subset first, the by-name-only extras after).
 pub fn registry() -> &'static [ExperimentSpec] {
     &REGISTRY
 }

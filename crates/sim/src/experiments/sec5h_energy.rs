@@ -2,7 +2,7 @@
 
 use super::{RunOptions, table1_layers};
 use crate::report::{Table, fmt_pct_plain};
-use crate::{GpuConfig, layer_run_opts};
+use crate::{GpuConfig, layer_run};
 use duplo_core::LhbConfig;
 use duplo_energy::{AreaModel, EnergyReport};
 
@@ -34,10 +34,10 @@ pub struct Energy {
 /// parallel job per layer; rows stay in catalog order).
 pub fn run(opts: &RunOptions) -> Energy {
     let gpu = opts.apply(GpuConfig::titan_v());
-    let rows: Vec<Row> = crate::runner::par_map_opt(opts.threads, &table1_layers(), |l| {
+    let rows: Vec<Row> = crate::runner::par_map_opt(opts, &table1_layers(), |l| {
         let p = l.lowered();
-        let base = layer_run_opts(&p, None, &gpu, opts);
-        let duplo = layer_run_opts(&p, Some(LhbConfig::paper_default()), &gpu, opts);
+        let base = layer_run(&p, None, &gpu, opts);
+        let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu, opts);
         let be = base.energy();
         let de = duplo.energy();
         Row {
@@ -146,8 +146,8 @@ mod tests {
         };
         let gpu = opts.apply(GpuConfig::titan_v());
         let p = networks::resnet()[1].lowered();
-        let base = layer_run(&p, None, &gpu);
-        let duplo = layer_run(&p, Some(Lc::paper_default()), &gpu);
+        let base = layer_run(&p, None, &gpu, &opts);
+        let duplo = layer_run(&p, Some(Lc::paper_default()), &gpu, &opts);
         let saving = EnergyReport::saving_over(&duplo.energy(), &base.energy());
         assert!(
             saving > 0.0,

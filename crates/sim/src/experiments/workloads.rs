@@ -64,12 +64,11 @@ fn run_rows(
     let jobs: Vec<(usize, bool)> = (0..kernels.len())
         .flat_map(|i| [(i, false), (i, true)])
         .collect();
-    let results: Vec<GpuRunResult> =
-        crate::runner::par_map_opt(opts.threads, &jobs, |&(i, duplo)| {
-            let mut cfg = gpu.clone();
-            cfg.sm.lhb = duplo.then(LhbConfig::paper_default);
-            GpuSim::with_options(cfg, opts.clone()).run(kernels[i].as_ref())
-        });
+    let results: Vec<GpuRunResult> = crate::runner::par_map_opt(opts, &jobs, |&(i, duplo)| {
+        let mut cfg = gpu.clone();
+        cfg.sm.lhb = duplo.then(LhbConfig::paper_default);
+        GpuSim::with_options(cfg, opts.clone()).run(kernels[i].as_ref())
+    });
     let mut it = results.into_iter();
     items
         .iter()
@@ -452,13 +451,12 @@ pub mod slice_camp {
             ("mod (camped)", HashKind::Mod),
             ("xor (spread)", HashKind::XorFold),
         ];
-        let results: Vec<GpuRunResult> =
-            crate::runner::par_map_opt(opts.threads, &hashes, |&(_, hash)| {
-                let mut cfg = opts.apply(GpuConfig::titan_v());
-                cfg.sm.lhb = None;
-                cfg.sm.hierarchy = cfg.sm.hierarchy.sliced(SLICES, hash);
-                GpuSim::with_options(cfg, opts.clone()).run(&kernel)
-            });
+        let results: Vec<GpuRunResult> = crate::runner::par_map_opt(opts, &hashes, |&(_, hash)| {
+            let mut cfg = opts.apply(GpuConfig::titan_v());
+            cfg.sm.lhb = None;
+            cfg.sm.hierarchy = cfg.sm.hierarchy.sliced(SLICES, hash);
+            GpuSim::with_options(cfg, opts.clone()).run(&kernel)
+        });
         hashes
             .iter()
             .zip(&results)

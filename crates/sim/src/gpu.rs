@@ -13,7 +13,7 @@ use duplo_core::LhbConfig;
 use duplo_energy::{EnergyCounts, EnergyModel, EnergyReport};
 use duplo_isa::Kernel;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
-use duplo_sm::{SmConfig, SmStats, SmTraceData, run_kernel_mode, run_kernel_traced_mode};
+use duplo_sm::{SmConfig, SmStats, SmTraceData, run_kernel_traced_mode};
 
 use crate::metrics;
 use crate::options::RunOptions;
@@ -107,33 +107,15 @@ pub struct GpuConfig {
 }
 
 impl GpuConfig {
-    /// The Table III NVIDIA Titan V-like baseline GPU.
-    ///
-    /// Two environment knobs select the sliced memory side for every run
-    /// built from this baseline: `DUPLO_L2_SLICES=<n>` partitions the L2
-    /// into `n` slices behind the crossbar (`1` is the degenerate
-    /// flat-equivalent configuration, gated byte-identical in CI), and
-    /// `DUPLO_L2_HASH=mod|xor` picks the line→slice interleaving hash
-    /// (default `xor`).
+    /// The Table III NVIDIA Titan V-like baseline GPU (flat L2; the
+    /// sliced memory side is selected by [`RunOptions::apply`]).
     pub fn titan_v() -> GpuConfig {
         let total_sms = 80;
-        let mut sm = SmConfig::titan_v(total_sms);
-        if let Some(slices) = std::env::var("DUPLO_L2_SLICES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-        {
-            let hash = std::env::var("DUPLO_L2_HASH")
-                .ok()
-                .and_then(|v| duplo_mem::HashKind::parse(&v))
-                .unwrap_or(duplo_mem::HashKind::XorFold);
-            sm.hierarchy = sm.hierarchy.sliced(slices, hash);
-        }
         GpuConfig {
             total_sms,
             sms_simulated: 1,
             clock_mhz: 1200,
-            sm,
+            sm: SmConfig::titan_v(total_sms),
             sample_ctas: None,
         }
     }
@@ -202,19 +184,19 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Creates a simulator with default run options (every execution
-    /// knob — threads, cache directory, loop mode — defers to the
-    /// process-global fallbacks, exactly the historical behavior).
+    /// Creates a simulator with default run options
+    /// ([`RunOptions::default`]).
     pub fn new(config: GpuConfig) -> GpuSim {
         GpuSim::with_options(config, RunOptions::default())
     }
 
     /// Creates a simulator with explicit [`RunOptions`]: the thread cap,
-    /// cache controls, and loop mode travel by value with this instance,
-    /// so concurrent simulators (a `duplo serve` worker pool) can run
-    /// under different settings in one process. Only the execution knobs
-    /// are read here — configuration-shaping options
-    /// ([`RunOptions::apply`]) must already be on `config`.
+    /// cache controls, loop mode, trace sink and wtrace record/replay
+    /// travel by value with this instance, so concurrent simulators (a
+    /// `duplo serve` worker pool) can run under different settings in one
+    /// process. Only the execution knobs are read here —
+    /// configuration-shaping options ([`RunOptions::apply`]) must already
+    /// be on `config`.
     pub fn with_options(config: GpuConfig, opts: RunOptions) -> GpuSim {
         GpuSim { config, opts }
     }
@@ -234,27 +216,64 @@ impl GpuSim {
     /// Runs are memoized through the content-addressed
     /// [`crate::cache`] — a repeat of an identical (configuration, kernel)
     /// point is served from cache (byte-identical to a fresh simulation)
-    /// instead of re-simulated. Use [`crate::cache::bypass`] to force the
+    /// instead of re-simulated. Set [`RunOptions::no_cache`] to force the
     /// simulator to actually run.
     ///
-    /// Each representative SM's `run_kernel` is independent, so the SMs
-    /// fan out over [`crate::runner::par_map`]; per-SM results are folded
-    /// in `sm_id` order, so the outcome is identical at any thread count.
+    /// Each representative SM's run is independent, so the SMs fan out
+    /// over [`crate::runner::par_map_opt`]; per-SM results are folded in
+    /// `sm_id` order, so the outcome is identical at any thread count.
     ///
     /// A kernel with no CTAs (every share empty) reports
     /// `sampled_fraction: 0.0` — nothing ran, and the `cycles: 0.0`
     /// estimate covers none of the grid.
-    /// Under a [`crate::wtrace`] replay session, the generated kernel is
-    /// swapped for its recorded trace before simulation; under a recording
-    /// session, the kernel is captured first — ahead of the cache lookup,
-    /// so recording works even when every run is a cache hit.
+    ///
+    /// Under [`RunOptions::replay`], the generated kernel is swapped for
+    /// its recorded trace before simulation; under [`RunOptions::record`],
+    /// the kernel is captured first — ahead of the cache lookup, so
+    /// recording works even when every run is a cache hit. Under
+    /// [`RunOptions::trace_sink`], each run is recorded into the sink: a
+    /// simulated run with its per-SM timelines, a cache-served one
+    /// (including a single-flight follower) as a timeline-less
+    /// `cache_hit` record.
     pub fn run(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        let result = if let Some(replayed) = crate::wtrace::substitute(&self.config, kernel) {
-            self.run_resolved(replayed.as_ref())
-        } else {
-            crate::wtrace::observe(&self.config, kernel);
-            self.run_resolved(kernel)
+        let replayed = self
+            .opts
+            .replay
+            .as_ref()
+            .and_then(|set| set.substitute(&self.config, kernel));
+        let kernel: &dyn Kernel = match &replayed {
+            Some(k) => k.as_ref(),
+            None => {
+                if let Some(rec) = &self.opts.record {
+                    rec.observe(&self.config, kernel);
+                }
+                kernel
+            }
         };
+        let mut simulated = false;
+        let result =
+            crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
+                simulated = true;
+                self.simulate(kernel)
+            });
+        if let (Some(sink), false) = (&self.opts.trace_sink, simulated) {
+            crate::log::debug(
+                "trace",
+                format_args!("{}: cache hit, no timeline recorded", kernel.name()),
+            );
+            sink.record_run(crate::trace::RunRecord {
+                kernel: kernel.name().to_string(),
+                key: crate::digest::hex(crate::cache::run_key(&self.config, kernel)),
+                cache_hit: true,
+                cycles: result.cycles,
+                ctas_simulated: result.ctas_simulated,
+                interval: sink.options().interval,
+                samples: Vec::new(),
+                cta_spans: Vec::new(),
+                dropped_samples: 0,
+                dropped_spans: 0,
+            });
+        }
         let m = gm();
         m.runs.inc();
         m.kernel_cycles.add(result.cycles as u64);
@@ -265,80 +284,18 @@ impl GpuSim {
         result
     }
 
-    /// Dispatch after wtrace record/replay resolution.
-    fn run_resolved(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        if crate::trace::is_active() {
-            return self.run_traced(kernel);
-        }
-        crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
-            self.run_uncached(kernel)
-        })
-    }
-
     /// The simulation itself, with no memoization (see [`crate::cache`]).
-    fn run_uncached(&self, kernel: &dyn Kernel) -> GpuRunResult {
+    /// With a trace sink, each SM also records its timeline and the
+    /// aggregated [`crate::trace::RunRecord`] goes to the sink; the result
+    /// is byte-identical either way (one shared fold).
+    fn simulate(&self, kernel: &dyn Kernel) -> GpuRunResult {
         let cfg = &self.config;
+        let spec = self.opts.trace_sink.as_ref().map(|s| s.options().spec());
         let n_ctas = kernel.num_ctas();
         let sm_ids: Vec<usize> = (0..cfg.sms_simulated).collect();
         let simulate_start = std::time::Instant::now();
-        let per_sm = crate::runner::par_map_opt(self.opts.threads, &sm_ids, |&sm_id| {
+        let per_sm = crate::runner::par_map_opt(&self.opts, &sm_ids, |&sm_id| {
             // Round-robin CTA assignment, matching real rasterization.
-            let share: Vec<usize> = (sm_id..n_ctas).step_by(cfg.total_sms).collect();
-            if share.is_empty() {
-                return None;
-            }
-            let take = cfg.sample_ctas.unwrap_or(share.len()).min(share.len());
-            let stats = run_kernel_mode(
-                kernel,
-                &share[..take],
-                cfg.sm.clone(),
-                self.opts.tick_reference,
-            );
-            Some((share.len(), take, stats))
-        });
-        gm().simulate_us
-            .observe(simulate_start.elapsed().as_micros() as u64);
-        let fold_start = std::time::Instant::now();
-        let result = fold_per_sm(per_sm);
-        gm().fold_us
-            .observe(fold_start.elapsed().as_micros() as u64);
-        result
-    }
-
-    /// [`GpuSim::run`] under an active [`crate::trace`] session: same
-    /// simulation and same fold (the result is byte-identical to the
-    /// untraced path), but each SM additionally records its timeline via
-    /// [`run_kernel_traced`], and the aggregated [`crate::trace::RunRecord`]
-    /// is appended to the session. The run cache is consulted explicitly —
-    /// a hit is recorded as a timeline-less `cache_hit` record.
-    fn run_traced(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        let cfg = &self.config;
-        let ctl = self.opts.cache_ctl();
-        let opts = crate::trace::options().unwrap_or_default();
-        let key = crate::digest::hex(crate::cache::run_key(cfg, kernel));
-        if let Some(r) = crate::cache::lookup_ready_ctl(&ctl, cfg, kernel) {
-            crate::log::debug(
-                "trace",
-                format_args!("{}: cache hit, no timeline recorded", kernel.name()),
-            );
-            crate::trace::record_run(crate::trace::RunRecord {
-                kernel: kernel.name().to_string(),
-                key,
-                cache_hit: true,
-                cycles: r.cycles,
-                ctas_simulated: r.ctas_simulated,
-                interval: opts.interval,
-                samples: Vec::new(),
-                cta_spans: Vec::new(),
-                dropped_samples: 0,
-                dropped_spans: 0,
-            });
-            return r;
-        }
-        let spec = opts.spec();
-        let n_ctas = kernel.num_ctas();
-        let sm_ids: Vec<usize> = (0..cfg.sms_simulated).collect();
-        let per_sm = crate::runner::par_map_opt(self.opts.threads, &sm_ids, |&sm_id| {
             let share: Vec<usize> = (sm_id..n_ctas).step_by(cfg.total_sms).collect();
             if share.is_empty() {
                 return None;
@@ -348,58 +305,59 @@ impl GpuSim {
                 kernel,
                 &share[..take],
                 cfg.sm.clone(),
-                spec,
                 self.opts.tick_reference,
+                spec,
             );
             Some((share.len(), take, stats, trace))
         });
+        gm().simulate_us
+            .observe(simulate_start.elapsed().as_micros() as u64);
         // Split stats from timelines, preserving `sm_id` order so both the
         // stat fold and the sample aggregation are thread-count invariant.
         let mut parts = Vec::with_capacity(per_sm.len());
         let mut traces: Vec<(u64, SmTraceData)> = Vec::new();
         for (sm_id, slot) in per_sm.into_iter().enumerate() {
-            match slot {
-                Some((share_len, take, stats, trace)) => {
-                    traces.push((sm_id as u64, trace));
-                    parts.push(Some((share_len, take, stats)));
-                }
-                None => parts.push(None),
-            }
+            parts.push(slot.map(|(share_len, take, stats, trace)| {
+                traces.extend(trace.map(|t| (sm_id as u64, t)));
+                (share_len, take, stats)
+            }));
         }
+        let fold_start = std::time::Instant::now();
         let result = fold_per_sm(parts);
-        crate::cache::publish_ctl(&ctl, cfg, kernel, &result);
-        let refs: Vec<&SmTraceData> = traces.iter().map(|(_, t)| t).collect();
-        let (samples, dropped_samples) = crate::trace::aggregate_samples(&refs, spec.interval);
-        let mut cta_spans = Vec::new();
-        let mut dropped_spans = 0u64;
-        for (sm, t) in &traces {
-            dropped_spans += t.dropped_spans;
-            for &span in &t.cta_spans {
-                cta_spans.push((*sm, span));
+        gm().fold_us
+            .observe(fold_start.elapsed().as_micros() as u64);
+        if let (Some(sink), Some(spec)) = (&self.opts.trace_sink, spec) {
+            let refs: Vec<&SmTraceData> = traces.iter().map(|(_, t)| t).collect();
+            let (samples, dropped_samples) = crate::trace::aggregate_samples(&refs, spec.interval);
+            let mut cta_spans = Vec::new();
+            let mut dropped_spans = 0u64;
+            for (sm, t) in &traces {
+                dropped_spans += t.dropped_spans;
+                cta_spans.extend(t.cta_spans.iter().map(|&span| (*sm, span)));
             }
+            crate::log::debug(
+                "trace",
+                format_args!(
+                    "{}: {} samples, {} cta spans ({} SMs)",
+                    kernel.name(),
+                    samples.len(),
+                    cta_spans.len(),
+                    traces.len()
+                ),
+            );
+            sink.record_run(crate::trace::RunRecord {
+                kernel: kernel.name().to_string(),
+                key: crate::digest::hex(crate::cache::run_key(cfg, kernel)),
+                cache_hit: false,
+                cycles: result.cycles,
+                ctas_simulated: result.ctas_simulated,
+                interval: spec.interval,
+                samples,
+                cta_spans,
+                dropped_samples,
+                dropped_spans,
+            });
         }
-        crate::log::debug(
-            "trace",
-            format_args!(
-                "{}: {} samples, {} cta spans ({} SMs)",
-                kernel.name(),
-                samples.len(),
-                cta_spans.len(),
-                traces.len()
-            ),
-        );
-        crate::trace::record_run(crate::trace::RunRecord {
-            kernel: kernel.name().to_string(),
-            key,
-            cache_hit: false,
-            cycles: result.cycles,
-            ctas_simulated: result.ctas_simulated,
-            interval: spec.interval,
-            samples,
-            cta_spans,
-            dropped_samples,
-            dropped_spans,
-        });
         result
     }
 }
@@ -413,7 +371,7 @@ impl GpuSim {
 /// share of every slice's port and DRAM bandwidth during simulation, and
 /// the per-slice counters are folded element-wise here in fixed `sm_id`
 /// order (the deterministic SM→slice arbitration order). The result is
-/// order-stable at any `DUPLO_THREADS`, gpucachesim-style.
+/// order-stable at any thread count, gpucachesim-style.
 fn fold_per_sm(per_sm: Vec<Option<(usize, usize, SmStats)>>) -> GpuRunResult {
     let mut worst_cycles = 0.0f64;
     let mut agg = SmStats::default();
@@ -513,16 +471,9 @@ fn accumulate(agg: &mut SmStats, s: &SmStats) {
 }
 
 /// Simulates the lowered GEMM of one convolutional layer (the paper's §V
-/// per-layer experiments): baseline when `lhb` is `None`, Duplo otherwise.
-pub fn layer_run(params: &ConvParams, lhb: Option<LhbConfig>, config: &GpuConfig) -> GpuRunResult {
-    layer_run_opts(params, lhb, config, &RunOptions::default())
-}
-
-/// [`layer_run`] with explicit [`RunOptions`]: the execution knobs
-/// (threads, cache controls, loop mode) travel by value with the run.
-/// The experiment drivers use this so a whole invocation — CLI or
-/// service submission — is parameterized without process-global state.
-pub fn layer_run_opts(
+/// per-layer experiments): baseline when `lhb` is `None`, Duplo otherwise,
+/// under the execution knobs of `opts`.
+pub fn layer_run(
     params: &ConvParams,
     lhb: Option<LhbConfig>,
     config: &GpuConfig,
@@ -546,8 +497,9 @@ mod tests {
     #[test]
     fn duplo_improves_a_duplication_heavy_layer() {
         let cfg = GpuConfig::titan_v();
-        let base = layer_run(&small_conv(), None, &cfg);
-        let duplo = layer_run(&small_conv(), Some(LhbConfig::paper_default()), &cfg);
+        let opts = RunOptions::default();
+        let base = layer_run(&small_conv(), None, &cfg, &opts);
+        let duplo = layer_run(&small_conv(), Some(LhbConfig::paper_default()), &cfg, &opts);
         assert!(duplo.stats.eliminated_loads > 0, "expected eliminations");
         assert!(
             duplo.cycles < base.cycles,
@@ -561,8 +513,9 @@ mod tests {
     fn sampling_reports_fraction_and_scales() {
         // 8x56x56 rows -> 392 CTAs -> ~5 CTAs per SM share; sample 2.
         let p = ConvParams::new(Nhwc::new(8, 56, 56, 16), 16, 3, 3, 1, 1).unwrap();
-        let full = layer_run(&p, None, &GpuConfig::titan_v());
-        let sampled = layer_run(&p, None, &GpuConfig::titan_v().with_sample(2));
+        let opts = RunOptions::default();
+        let full = layer_run(&p, None, &GpuConfig::titan_v(), &opts);
+        let sampled = layer_run(&p, None, &GpuConfig::titan_v().with_sample(2), &opts);
         assert_eq!(full.sampled_fraction, 1.0);
         assert!(sampled.sampled_fraction < 1.0);
         // The scaled estimate should be within 2x of the full run.
@@ -623,20 +576,20 @@ mod tests {
         // fold over per-SM results must not depend on completion order.
         // Bypass the run cache: serving the second run from memory would
         // make the comparison vacuous.
-        let _nocache = crate::cache::bypass();
         let p = ConvParams::new(Nhwc::new(8, 56, 56, 16), 16, 3, 3, 1, 1).unwrap();
         let mut cfg = GpuConfig::titan_v().with_sample(2);
         cfg.sms_simulated = 5;
         cfg.sm.lhb = Some(LhbConfig::paper_default());
         let kernel = GemmTcKernel::from_conv(&p, SmemPolicy::COnly);
-        let serial = {
-            let _g = crate::runner::override_threads(1);
-            GpuSim::new(cfg.clone()).run(&kernel)
+        let run = |threads| {
+            let opts = RunOptions {
+                threads: Some(threads),
+                no_cache: true,
+                ..RunOptions::default()
+            };
+            GpuSim::with_options(cfg.clone(), opts).run(&kernel)
         };
-        let parallel = {
-            let _g = crate::runner::override_threads(4);
-            GpuSim::new(cfg).run(&kernel)
-        };
+        let (serial, parallel) = (run(1), run(4));
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
 
@@ -646,6 +599,7 @@ mod tests {
             &small_conv(),
             Some(LhbConfig::paper_default()),
             &GpuConfig::titan_v(),
+            &RunOptions::default(),
         );
         let c = r.energy_counts();
         assert!(c.dram_bytes > 0);

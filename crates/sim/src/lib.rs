@@ -7,19 +7,21 @@
 //! * [`GpuConfig`] / [`GpuSim`] — representative-SM whole-GPU simulation
 //!   (Table III machine) of a kernel, baseline or Duplo,
 //! * [`layer_run`] — simulate one convolutional layer's lowered GEMM,
+//! * [`RunOptions`] — every run setting as one value, resolved once at
+//!   the process boundary and carried down by value,
 //! * [`experiments`] — drivers reproducing every figure and table of the
 //!   paper's evaluation (see `DESIGN.md` §5 for the index),
 //! * [`runner`] — the zero-dependency parallel execution engine behind
-//!   both (bounded scoped-thread pool, `DUPLO_THREADS` override,
+//!   both (bounded scoped-thread pool, per-run thread cap,
 //!   order-stable and therefore byte-identical results at any thread
 //!   count),
 //! * [`cache`] — the content-addressed run cache memoizing
 //!   [`GpuSim::run`] (single-flight in-memory tier plus an optional
-//!   `DUPLO_CACHE_DIR` disk tier keyed by [`digest`]),
-//! * [`trace`] — cycle-resolved tracing sessions with Chrome
+//!   disk tier keyed by [`digest`], per-run hit/miss tallies),
+//! * [`trace`] — cycle-resolved tracing into per-run sinks with Chrome
 //!   trace-event (Perfetto-compatible) export and a phase summarizer,
 //! * [`wtrace`] — the versioned warp-instruction trace format with
-//!   record/replay sessions (trace-driven workload frontend),
+//!   by-value recorder and replay set (trace-driven workload frontend),
 //! * [`log`] — the `DUPLO_LOG`-leveled logger every stderr line in the
 //!   stack goes through,
 //! * [`metrics`] — the process-wide telemetry registry (counters,
@@ -49,5 +51,5 @@ pub mod serve;
 pub mod trace;
 pub mod wtrace;
 
-pub use gpu::{GpuConfig, GpuRunResult, GpuSim, layer_run, layer_run_opts};
+pub use gpu::{GpuConfig, GpuRunResult, GpuSim, layer_run};
 pub use options::RunOptions;

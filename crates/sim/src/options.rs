@@ -1,52 +1,47 @@
-//! Typed run options — the by-value replacement for process-global knobs.
+//! Typed run options: every run-affecting setting, carried by value.
 //!
-//! Historically every run-affecting setting travelled as process state:
-//! `DUPLO_THREADS` read inside [`crate::runner`], `DUPLO_CACHE_DIR` /
-//! [`crate::cache::set_dir`] inside the cache, `DUPLO_L2_SLICES` /
-//! `DUPLO_L2_HASH` inside [`crate::GpuConfig::titan_v`],
-//! `DUPLO_TICK_REFERENCE` inside the SM loop, and the CLI flags mutated
-//! the same globals. That cannot express two in-flight runs with
-//! different settings — which a long-running service needs.
-//!
-//! [`RunOptions`] is the explicit value: the CLI/env surface parses into
-//! one of these ([`RunOptions::from_cli`] / [`RunOptions::from_env`]),
-//! the experiment registry runners receive it, and
-//! [`crate::GpuSim::with_options`] threads it down through the runner,
-//! the cache, and the SM loop. A default-constructed value defers every
-//! field to the process-global fallbacks, so existing entry points keep
-//! byte-identical behavior.
+//! The process boundary — the `duplo` CLI, `all_experiments`, test
+//! harnesses — resolves one [`RunOptions`] ([`RunOptions::from_cli`] /
+//! [`RunOptions::from_env`]; this module is the only library code that
+//! reads `DUPLO_*` run settings). The experiment registry runners receive
+//! it, and [`crate::GpuSim::with_options`] threads it down through the
+//! runner, the cache, the trace sink, wtrace record/replay, and the SM
+//! loop. Nothing below the boundary consults process state, so two
+//! in-flight runs (a `duplo serve` worker pool) can use different
+//! settings.
 
 use std::path::PathBuf;
 
 use duplo_mem::{HashKind, NocConfig};
 
 use crate::GpuConfig;
-use crate::cache::CacheCtl;
+use crate::cache::{CacheCtl, CacheTally};
 use crate::json::Json;
 use crate::progress::ProgressHandle;
+use crate::trace::{TraceOptions, TraceSink};
+use crate::wtrace::{Recorder, ReplaySet};
 
 /// Options for one simulation run (or one experiment invocation).
-///
-/// `None` / `false` fields defer to the process-global fallbacks
-/// (environment variables, [`crate::cache::set_dir`], ...), so
-/// `RunOptions::default()` reproduces the historical behavior exactly.
+/// `RunOptions::default()` is the plain run: every CTA, event-driven SM
+/// loop, memory-only run cache, all available threads, no tracing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunOptions {
     /// Simulate at most this many CTAs per representative SM (None = all).
     pub sample_ctas: Option<usize>,
-    /// Worker-thread cap for this run's parallel fan-out
-    /// (`--`/`DUPLO_THREADS`; `None` defers to the environment). An
-    /// active [`crate::runner::override_threads`] guard still wins — the
-    /// determinism suite relies on that.
+    /// Worker-thread cap for this run's parallel fan-out (`DUPLO_THREADS`;
+    /// `None` = available parallelism).
     pub threads: Option<usize>,
-    /// Force the tick-by-tick reference SM loop for this run
-    /// (`DUPLO_TICK_REFERENCE`); `false` defers to the process globals.
+    /// Run the tick-by-tick reference SM loop (`DUPLO_TICK_REFERENCE`)
+    /// instead of the event-driven one; results are identical.
     pub tick_reference: bool,
     /// `--no-cache`: neither look up nor store run-cache entries.
     pub no_cache: bool,
     /// `--cache-dir <dir>` / `DUPLO_CACHE_DIR`: disk tier for the run
-    /// cache (`None` defers to the process-global setting).
+    /// cache (`None` = memory tier only).
     pub cache_dir: Option<PathBuf>,
+    /// Per-run cache counters ([`CacheCtl::tally`]); `None` counts only
+    /// process-wide.
+    pub cache_tally: Option<CacheTally>,
     /// L2 slice count override: `Some(0)` forces the flat memory side,
     /// `Some(n >= 1)` the sliced one (`DUPLO_L2_SLICES`), `None` keeps
     /// whatever the configuration already selected.
@@ -59,7 +54,8 @@ pub struct RunOptions {
     /// `--json-dir <dir>` (or `DUPLO_JSON_DIR`): per-experiment files.
     pub json_dir: Option<PathBuf>,
     /// `--trace <path>` (or `DUPLO_TRACE`): write a Chrome trace-event
-    /// timeline of every simulated run to this file.
+    /// timeline of every simulated run to this file (the CLI records
+    /// into [`RunOptions::trace_sink`] and writes it afterwards).
     pub trace: Option<PathBuf>,
     /// `--trace-interval <N>` (or `DUPLO_TRACE_INTERVAL`): cycles between
     /// trace samples.
@@ -68,10 +64,18 @@ pub struct RunOptions {
     /// host-side spans (runner workers) — the export is then no longer
     /// byte-reproducible.
     pub trace_full: bool,
-    /// `--trace-in <file>`: replay this recorded wtrace file — every
-    /// generated kernel is swapped for its recorded instruction stream
-    /// before simulation (see [`crate::wtrace`]).
+    /// `--trace-in <file>`: replay this recorded wtrace file — the CLI
+    /// loads it into [`RunOptions::replay`].
     pub trace_in: Option<PathBuf>,
+    /// Where simulated runs record their timelines (see [`crate::trace`]);
+    /// `None` runs untraced.
+    pub trace_sink: Option<TraceSink>,
+    /// Captures every kernel run under these options (see
+    /// [`crate::wtrace`]).
+    pub record: Option<Recorder>,
+    /// Swaps each generated kernel for its recorded trace before
+    /// simulation (see [`crate::wtrace`]).
+    pub replay: Option<ReplaySet>,
     /// Live progress cell for this run (see [`crate::progress`]):
     /// [`crate::GpuSim::run`] adds each kernel's simulated cycles as it
     /// completes. `duplo serve` threads one per submission; `None` (the
@@ -196,9 +200,7 @@ impl RunOptions {
     /// Applies the configuration-shaping options to a GPU configuration:
     /// CTA sampling always, the memory side when an `l2_slices` override
     /// is present. Re-applying the same slice settings a configuration
-    /// already carries is idempotent, so options snapshotted from the
-    /// environment compose with [`crate::GpuConfig::titan_v`] (which
-    /// reads the same variables).
+    /// already carries is idempotent.
     pub fn apply(&self, mut cfg: GpuConfig) -> GpuConfig {
         cfg.sample_ctas = self.sample_ctas;
         match self.l2_slices {
@@ -222,7 +224,18 @@ impl RunOptions {
         CacheCtl {
             disabled: self.no_cache,
             dir: self.cache_dir.clone(),
+            tally: self.cache_tally.clone(),
         }
+    }
+
+    /// The trace-sink parameters `trace_interval` / `trace_full` ask for.
+    pub fn trace_options(&self) -> TraceOptions {
+        let mut t = TraceOptions::default();
+        if let Some(n) = self.trace_interval {
+            t.interval = n;
+        }
+        t.host_events = self.trace_full;
+        t
     }
 
     /// Overlays the wire-format options object of a `duplo serve`
@@ -308,6 +321,7 @@ mod tests {
         assert!(!o.no_cache);
         assert_eq!(o.l2_slices, None);
         assert_eq!(o.cache_ctl(), CacheCtl::default());
+        assert!(o.trace_sink.is_none() && o.record.is_none() && o.replay.is_none());
     }
 
     #[test]

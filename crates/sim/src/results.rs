@@ -383,12 +383,17 @@ mod tests {
 
     #[test]
     fn run_metrics_block_is_internally_consistent() {
-        use crate::{GpuConfig, layer_run};
+        use crate::{GpuConfig, RunOptions, layer_run};
         use duplo_core::LhbConfig;
         use duplo_tensor::Nhwc;
         let p = duplo_conv::ConvParams::new(Nhwc::new(1, 16, 16, 16), 16, 3, 3, 1, 1).unwrap();
         let cfg = GpuConfig::titan_v().with_sample(2);
-        let run = layer_run(&p, Some(LhbConfig::paper_default()), &cfg);
+        let run = layer_run(
+            &p,
+            Some(LhbConfig::paper_default()),
+            &cfg,
+            &RunOptions::default(),
+        );
         let m = run_metrics(&run);
         let get_u = |path: [&str; 2]| {
             m.get(path[0])
@@ -416,10 +421,15 @@ mod tests {
 
     #[test]
     fn run_metrics_exports_memory_high_water_marks() {
-        use crate::{GpuConfig, layer_run};
+        use crate::{GpuConfig, RunOptions, layer_run};
         use duplo_tensor::Nhwc;
         let p = duplo_conv::ConvParams::new(Nhwc::new(1, 16, 16, 16), 16, 3, 3, 1, 1).unwrap();
-        let run = layer_run(&p, None, &GpuConfig::titan_v().with_sample(2));
+        let run = layer_run(
+            &p,
+            None,
+            &GpuConfig::titan_v().with_sample(2),
+            &RunOptions::default(),
+        );
         let m = run_metrics(&run);
         // The exported marks are the folded stats verbatim.
         assert_eq!(

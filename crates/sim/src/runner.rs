@@ -3,7 +3,7 @@
 //! The paper's §V evaluation sweeps hundreds of independent
 //! (layer, LHB-config) simulations; each is a pure function of its inputs,
 //! so the experiment drivers and [`crate::GpuSim::run`] fan their grids out
-//! over a bounded pool of scoped threads ([`par_map`]).
+//! over a bounded pool of scoped threads ([`par_map_opt`]).
 //!
 //! # Determinism
 //!
@@ -11,28 +11,30 @@
 //! input index, never by completion order, and every downstream reduction
 //! (stat accumulation, float sums, table rows) folds that vector
 //! sequentially. Identical inputs therefore produce byte-identical tables
-//! at any thread count — `DUPLO_THREADS=1` and `DUPLO_THREADS=64` render
-//! the same output.
+//! at any thread count — `threads: Some(1)` and `Some(64)` render the same
+//! output.
 //!
 //! # Thread-count selection
 //!
-//! [`max_threads`] resolves, in order: an active [`override_threads`]
-//! guard (tests), the `DUPLO_THREADS` environment variable (a positive
-//! integer; `1` forces the serial fallback), and finally
-//! [`std::thread::available_parallelism`].
+//! Each call carries its cap by value ([`Fanout::threads`], normally
+//! [`crate::RunOptions::threads`]); [`resolve_threads`] maps `None` to
+//! [`std::thread::available_parallelism`]. `Some(1)` forces the serial
+//! fallback.
 //!
 //! # Nesting
 //!
-//! `par_map` inside a `par_map` worker spawns its own scoped pool, so
+//! `par_map_opt` inside a `par_map_opt` worker spawns its own scoped pool, so
 //! nested grids multiply thread counts. The two built-in layers avoid
 //! this in the common case: the default [`crate::GpuConfig`] simulates one
 //! representative SM, which takes the serial fallback (a single-item map
 //! never spawns), while the experiment grids above it fan out.
 
+use std::sync::OnceLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::metrics;
+use crate::options::RunOptions;
+use crate::trace::TraceSink;
 
 /// Registry metrics for the pool. Task counts are a pure function of the
 /// work (stable at any thread count); pool/worker/imbalance figures
@@ -66,78 +68,43 @@ fn rm() -> &'static RunnerMetrics {
     })
 }
 
-/// Test-only scoped override; `0` means "no override".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes [`override_threads`] scopes so concurrent tests cannot
-/// clobber each other's setting.
-static OVERRIDE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-/// Maximum worker threads a [`par_map`] call may use.
-///
-/// Resolution order: active [`override_threads`] guard, then the
-/// `DUPLO_THREADS` environment variable (positive integer; invalid or
-/// zero values are ignored), then [`std::thread::available_parallelism`]
+/// Worker-thread count for a per-run request: `explicit` when it is a
+/// positive count, otherwise [`std::thread::available_parallelism`]
 /// (falling back to 1 if unknown).
-pub fn max_threads() -> usize {
-    resolve_threads(None)
+pub fn resolve_threads(explicit: Option<usize>) -> usize {
+    explicit.filter(|&n| n >= 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
-/// Like [`max_threads`], but with an explicit per-run request
-/// ([`crate::RunOptions::threads`]) slotted between the override guard
-/// and the environment: guard, then `explicit`, then `DUPLO_THREADS`,
-/// then [`std::thread::available_parallelism`]. The guard stays on top so
-/// the determinism suite's [`override_threads`] scopes beat options that
-/// merely snapshotted the environment.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Acquire);
-    if forced > 0 {
-        return forced;
-    }
-    if let Some(n) = explicit.filter(|&n| n >= 1) {
-        return n;
-    }
-    if let Ok(v) = std::env::var("DUPLO_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
+/// How wide one [`par_map_opt`] call fans out, and where its host-side
+/// worker spans go.
+#[derive(Clone, Debug)]
+pub struct Fanout {
+    /// Worker-thread cap (see [`resolve_threads`]).
+    pub threads: Option<usize>,
+    /// Receives one volatile span per worker when it records host events.
+    pub sink: Option<TraceSink>,
+}
+
+impl From<Option<usize>> for Fanout {
+    fn from(threads: Option<usize>) -> Fanout {
+        Fanout {
+            threads,
+            sink: None,
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
-/// RAII guard returned by [`override_threads`]; restores the previous
-/// override (and releases the serialization lock) on drop.
-pub struct ThreadOverrideGuard {
-    prev: usize,
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ThreadOverrideGuard {
-    fn drop(&mut self) {
-        THREAD_OVERRIDE.store(self.prev, Ordering::Release);
+impl From<&RunOptions> for Fanout {
+    fn from(opts: &RunOptions) -> Fanout {
+        Fanout {
+            threads: opts.threads,
+            sink: opts.trace_sink.clone(),
+        }
     }
-}
-
-/// Forces [`max_threads`] to `n` for the guard's lifetime (test aid: the
-/// determinism suite runs the same experiment at 1 and N threads within
-/// one process). Guards serialize on a global lock, so concurrent tests
-/// queue rather than interleave their overrides.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn override_threads(n: usize) -> ThreadOverrideGuard {
-    assert!(n > 0, "thread override must be positive");
-    let lock = OVERRIDE_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let prev = THREAD_OVERRIDE.swap(n, Ordering::AcqRel);
-    ThreadOverrideGuard { prev, _lock: lock }
 }
 
 /// Applies `f` to every item of `items` on a bounded pool of scoped
@@ -146,31 +113,20 @@ pub fn override_threads(n: usize) -> ThreadOverrideGuard {
 /// Work is distributed dynamically (an atomic cursor), so uneven item
 /// costs — large layers next to small ones — balance across workers. With
 /// one thread (or one item) the map runs serially on the calling thread,
-/// spawning nothing.
+/// spawning nothing. `fanout` is the per-run cap (an `Option<usize>` or
+/// `&RunOptions`), so two concurrent runs can fan out at different widths.
 ///
 /// # Panics
 ///
 /// A panic in `f` is propagated to the caller after the remaining workers
 /// drain.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub fn par_map_opt<T, R, F>(fanout: impl Into<Fanout>, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_opt(None, items, f)
-}
-
-/// [`par_map`] with an explicit per-run thread cap
-/// ([`crate::RunOptions::threads`]); `None` defers to the process-global
-/// resolution. This is the entry point the options-threaded simulation
-/// paths use, so two concurrent runs can fan out at different widths.
-pub fn par_map_opt<T, R, F>(threads: Option<usize>, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
+    let Fanout { threads, sink } = fanout.into();
     let workers = resolve_threads(threads).min(items.len());
     rm().tasks.add(items.len() as u64);
     if workers <= 1 {
@@ -183,16 +139,17 @@ where
         format_args!("pool: {} workers for {} items", workers, items.len()),
     );
     // Host-side worker spans are volatile (wall-clock), so they are only
-    // recorded when a trace session explicitly opted into host events.
-    let host_spans = crate::trace::host_enabled();
+    // recorded when the run's trace sink explicitly opted into host events.
+    let sink = sink.filter(TraceSink::host_enabled);
     let cursor = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let cursor = &cursor;
                 let f = &f;
+                let sink = &sink;
                 scope.spawn(move || {
-                    let started = host_spans.then(std::time::Instant::now);
+                    let started = sink.as_ref().map(|_| std::time::Instant::now());
                     let mut out = Vec::new();
                     let mut done = 0usize;
                     loop {
@@ -201,12 +158,8 @@ where
                         out.push((i, f(item)));
                         done += 1;
                     }
-                    if let Some(start) = started {
-                        crate::trace::host_span(
-                            format!("worker {w}: {done} items"),
-                            w as u64 + 1,
-                            start,
-                        );
+                    if let (Some(sink), Some(start)) = (sink, started) {
+                        sink.host_span(format!("worker {w}: {done} items"), w as u64 + 1, start);
                     }
                     out
                 })
@@ -239,13 +192,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceOptions;
 
     #[test]
     fn results_are_input_ordered() {
-        let _g = override_threads(4);
         let items: Vec<u64> = (0..100).collect();
         // Uneven work per item: later items finish first.
-        let out = par_map(&items, |&x| {
+        let out = par_map_opt(Some(4), &items, |&x| {
             if x % 7 == 0 {
                 std::thread::yield_now();
             }
@@ -257,41 +210,23 @@ mod tests {
     #[test]
     fn serial_fallback_matches_parallel() {
         let items: Vec<u32> = (0..37).collect();
-        let serial = {
-            let _g = override_threads(1);
-            par_map(&items, |&x| x.wrapping_mul(2654435761))
-        };
-        let parallel = {
-            let _g = override_threads(8);
-            par_map(&items, |&x| x.wrapping_mul(2654435761))
-        };
+        let serial = par_map_opt(Some(1), &items, |&x| x.wrapping_mul(2654435761));
+        let parallel = par_map_opt(Some(8), &items, |&x| x.wrapping_mul(2654435761));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_and_single_item_maps() {
-        let _g = override_threads(4);
         let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[42u8], |&x| x + 1), vec![43]);
-    }
-
-    #[test]
-    fn override_nests_and_restores() {
-        {
-            let _a = override_threads(3);
-            assert_eq!(max_threads(), 3);
-        }
-        // After the guard drops, the env/default path is back in charge.
-        assert!(max_threads() >= 1);
+        assert!(par_map_opt(Some(4), &empty, |&x| x).is_empty());
+        assert_eq!(par_map_opt(Some(4), &[42u8], |&x| x + 1), vec![43]);
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let _g = override_threads(4);
         let items: Vec<u32> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map(&items, |&x| {
+            par_map_opt(Some(4), &items, |&x| {
                 assert!(x != 11, "boom at {x}");
                 x
             })
@@ -300,19 +235,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_override_rejected() {
-        let _ = override_threads(0);
+    fn explicit_threads_win_else_available_parallelism() {
+        assert_eq!(resolve_threads(Some(7)), 7);
+        let ambient = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(None), ambient);
+        // Zero is treated as "no request".
+        assert_eq!(resolve_threads(Some(0)), ambient);
     }
 
     #[test]
-    fn explicit_threads_lose_to_the_override_guard() {
-        {
-            let _g = override_threads(3);
-            assert_eq!(resolve_threads(Some(7)), 3, "guard beats explicit");
+    fn worker_spans_reach_only_the_fanout_sink() {
+        let items: Vec<u32> = (0..8).collect();
+        let host = TraceSink::new(TraceOptions {
+            host_events: true,
+            ..TraceOptions::default()
+        });
+        let quiet = TraceSink::new(TraceOptions::default());
+        for sink in [&host, &quiet] {
+            let fanout = Fanout {
+                threads: Some(2),
+                sink: Some(sink.clone()),
+            };
+            par_map_opt(fanout, &items, |&x| x);
         }
-        assert_eq!(resolve_threads(Some(7)), 7, "explicit beats env/default");
-        // Zero is treated as "no request", like an invalid DUPLO_THREADS.
-        assert!(resolve_threads(Some(0)) >= 1);
+        assert_eq!(host.finish().host_events.len(), 2, "one span per worker");
+        assert!(quiet.finish().host_events.is_empty());
     }
 }

@@ -32,11 +32,14 @@
 //!
 //! Submissions are executed through [`crate::GpuSim::with_options`], so
 //! every run-affecting knob travels by value: two in-flight requests can
-//! sample differently, pick different memory sides, or run the
-//! tick-by-tick reference loop, without touching process globals. All
-//! requests share the process run cache — its single-flight in-memory
-//! tier plus the disk tier — so N concurrent identical submissions cost
-//! one simulation, and a warm daemon answers from the cache entirely.
+//! sample differently, pick different memory sides, run the tick-by-tick
+//! reference loop, or trace into their own sink, without touching process
+//! globals. All requests share the process run cache — its single-flight
+//! in-memory tier plus the disk tier — so N concurrent identical
+//! submissions cost one simulation, and a warm daemon answers from the
+//! cache entirely. The `X-Duplo-Cache-Hits/Misses` headers count the
+//! submission's own lookups ([`crate::cache::CacheTally`]), exact under
+//! any concurrency.
 //!
 //! Every error is a structured JSON body with the matching 4xx/5xx
 //! status, `{"error": {"status": .., "kind": "..", "message": ".."}}` —
@@ -53,15 +56,16 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::cache::{self, CacheStats, CacheTally};
 use crate::json::{Json, parse};
 use crate::metrics;
 use crate::options::RunOptions;
 use crate::progress::{JobState, ProgressHandle};
-use crate::{cache, digest, experiments, log, trace, wtrace};
+use crate::{digest, experiments, log, trace, wtrace};
 
 /// Maximum accepted request-head size (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -341,10 +345,6 @@ struct ServerState {
     artifacts: BlobStore,
     /// Submission lifecycles by job digest (`/v1/progress/<digest>`).
     jobs: Mutex<JobsInner>,
-    /// Trace sessions are process-global, so a traced submission must run
-    /// exclusively: it takes the write side, plain submissions the read
-    /// side (and proceed concurrently among themselves).
-    trace_gate: RwLock<()>,
 }
 
 /// A running daemon; [`Server::join`] blocks until shutdown completes.
@@ -375,7 +375,6 @@ impl Server {
                 map: HashMap::new(),
                 order: VecDeque::new(),
             }),
-            trace_gate: RwLock::new(()),
         });
         let mut threads = Vec::new();
         {
@@ -910,20 +909,33 @@ fn handle_submit(state: &ServerState, body: &[u8]) -> Response {
 
 /// Resolves the per-submission options: server defaults, the experiment's
 /// registry sampling default (unless the server pinned one), then the
-/// request overlay.
+/// request overlay. The result carries the submission's own progress
+/// handle and cache tally.
 fn submission_options(
     state: &ServerState,
     default_sample: Option<usize>,
     wire: Option<&Json>,
+    progress: &ProgressHandle,
 ) -> Result<RunOptions, String> {
     let mut base = state.opts.defaults.clone();
     if !state.opts.explicit_sample {
         base.sample_ctas = default_sample;
     }
-    match wire {
-        Some(v) => base.merge_wire(v),
-        None => Ok(base),
-    }
+    let mut o = match wire {
+        Some(v) => base.merge_wire(v)?,
+        None => base,
+    };
+    o.progress = Some(progress.clone());
+    o.cache_tally = Some(CacheTally::default());
+    Ok(o)
+}
+
+/// The submission's own cache counts (see [`submission_options`]).
+fn tally_of(opts: &RunOptions) -> CacheStats {
+    opts.cache_tally
+        .as_ref()
+        .map(CacheTally::get)
+        .unwrap_or_default()
 }
 
 fn submit_experiment(
@@ -940,39 +952,33 @@ fn submit_experiment(
         };
         return error_response(404, &msg);
     };
-    let mut opts = match submission_options(state, spec.default_sample, wire) {
+    let mut opts = match submission_options(state, spec.default_sample, wire, progress) {
         Ok(o) => o,
         Err(msg) => return error_response(400, &msg),
     };
-    // Thread the lifecycle handle into the simulation so per-kernel cycle
-    // counts stream out while the run is in flight.
-    opts.progress = Some(progress.clone());
-    let before = cache::stats();
+    if want_trace {
+        // Artifacts stay byte-reproducible: no volatile host spans.
+        opts.trace_sink = Some(trace::TraceSink::new(trace::TraceOptions {
+            host_events: false,
+            ..opts.trace_options()
+        }));
+    }
     progress.set_state(JobState::Running);
-    let (out, artifact) = if want_trace {
-        // Trace sessions are process-global: run exclusively.
-        let _g = state.trace_gate.write().unwrap_or_else(|e| e.into_inner());
-        let mut topts = trace::TraceOptions::default();
-        if let Some(n) = opts.trace_interval {
-            topts.interval = n;
-        }
-        let session = trace::capture(topts);
-        let out = (spec.run)(&opts);
-        let data = session.finish();
-        let chrome = data.to_chrome_json().to_pretty();
-        let key = state.artifacts.insert(chrome.as_bytes());
+    let out = (spec.run)(&opts);
+    let artifact = opts.trace_sink.as_ref().map(|sink| {
+        let data = sink.finish();
+        let key = state
+            .artifacts
+            .insert(data.to_chrome_json().to_pretty().as_bytes());
         slog(format_args!(
             "traced {} ({} runs) -> artifact {key}",
             spec.name,
             data.runs.len()
         ));
-        (out, Some(key))
-    } else {
-        let _g = state.trace_gate.read().unwrap_or_else(|e| e.into_inner());
-        ((spec.run)(&opts), None)
-    };
+        key
+    });
     progress.set_state(JobState::Done);
-    let delta = cache::stats().since(&before);
+    let delta = tally_of(&opts);
     // The stable result form: no host block, ever — responses must be
     // byte-identical across cache states and thread counts.
     let body = out.result.to_pretty();
@@ -1007,13 +1013,10 @@ fn submit_wtrace(
         Ok(r) => r,
         Err(e) => return error_response(400, &format!("wtrace: {e}")),
     };
-    let mut opts = match submission_options(state, None, wire) {
+    let opts = match submission_options(state, None, wire, progress) {
         Ok(o) => o,
         Err(msg) => return error_response(400, &msg),
     };
-    opts.progress = Some(progress.clone());
-    let before = cache::stats();
-    let _g = state.trace_gate.read().unwrap_or_else(|e| e.into_inner());
     progress.set_state(JobState::Running);
     let cfg = opts.apply(crate::GpuConfig::titan_v());
     let mut rows = Vec::new();
@@ -1030,7 +1033,7 @@ fn submit_wtrace(
         );
     }
     progress.set_state(JobState::Done);
-    let delta = cache::stats().since(&before);
+    let delta = tally_of(&opts);
     let rows_len = rows.len();
     let body = Json::obj()
         .field("schema", u64::from(crate::results::SCHEMA_VERSION))

@@ -7,15 +7,16 @@
 //!
 //! # Lifecycle
 //!
-//! A process opts into tracing by opening a [`TraceSession`] with
-//! [`capture`] (the CLI does this for `duplo run --trace <path>` /
-//! `DUPLO_TRACE`). While a session is active, [`crate::GpuSim::run`]
-//! switches to its traced path: each simulated run's per-SM timelines are
-//! aggregated (deterministically, in `sm_id` order) into one
-//! [`RunRecord`] and appended to the session. [`TraceSession::finish`]
-//! returns the collected [`TraceData`] for export. With no session active
-//! — the default — the only cost in the simulator is one atomic load per
-//! run and one branch per SM tick.
+//! A run opts into tracing by carrying a [`TraceSink`] in
+//! [`crate::RunOptions::trace_sink`] (the CLI builds one for
+//! `duplo run --trace <path>` / `DUPLO_TRACE`, `duplo serve` one per
+//! `"trace": true` submission). [`crate::GpuSim::run`] then records each
+//! simulated run's per-SM timelines, aggregated (deterministically, in
+//! `sm_id` order) into one [`RunRecord`], into that sink;
+//! [`TraceSink::finish`] returns the collected [`TraceData`] for export.
+//! Sinks are values, so concurrent runs trace into separate documents.
+//! Without a sink — the default — the only cost in the simulator is one
+//! branch per run and one per SM tick.
 //!
 //! # Determinism
 //!
@@ -37,8 +38,7 @@
 //! events). Overflow increments a dropped counter that is exported in the
 //! document's `dropped` block — never silently truncated.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use duplo_sm::{CtaSpan, SmSample, SmTraceData, TraceSpec};
@@ -54,7 +54,7 @@ pub const TRACE_FORMAT_VERSION: u64 = 2;
 // Options
 // ---------------------------------------------------------------------------
 
-/// Session-wide tracing parameters.
+/// Tracing parameters of one [`TraceSink`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct TraceOptions {
     /// Cycles between interval samples (default 1024).
@@ -63,9 +63,9 @@ pub struct TraceOptions {
     pub span_cap: usize,
     /// Per-SM periodic-sample cap (see [`TraceSpec::sample_cap`]).
     pub sample_cap: usize,
-    /// Maximum simulated-run records kept in a session.
+    /// Maximum simulated-run records kept in a sink.
     pub run_cap: usize,
-    /// Maximum host-side span events kept in a session.
+    /// Maximum host-side span events kept in a sink.
     pub host_cap: usize,
     /// Record volatile host-side spans (runner workers, wall-clock).
     /// Off by default so exported documents are deterministic.
@@ -150,7 +150,7 @@ impl<T> Ring<T> {
 // Records
 // ---------------------------------------------------------------------------
 
-/// One `GpuSim::run` under an active trace session.
+/// One `GpuSim::run` recorded into a [`TraceSink`].
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Kernel name.
@@ -185,18 +185,19 @@ pub struct HostEvent {
     pub name: String,
     /// Thread lane in the export.
     pub tid: u64,
-    /// Microseconds since the session opened.
+    /// Microseconds since the sink was created.
     pub start_us: u64,
     /// Span duration in microseconds.
     pub dur_us: u64,
 }
 
-/// Everything a finished session collected.
+/// Everything a finished sink collected.
 #[derive(Clone, Debug)]
 pub struct TraceData {
-    /// The options the session ran under.
+    /// The options the sink recorded under.
     pub options: TraceOptions,
-    /// Run records, sorted by `(kernel, key)` for deterministic export.
+    /// Run records, sorted by `(kernel, key, cache_hit)` for deterministic
+    /// export.
     pub runs: Vec<RunRecord>,
     /// Runs dropped at [`TraceOptions::run_cap`].
     pub dropped_runs: u64,
@@ -207,163 +208,132 @@ pub struct TraceData {
 }
 
 // ---------------------------------------------------------------------------
-// Global session state
+// Sink
 // ---------------------------------------------------------------------------
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static HOST_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-struct Collector {
-    opts: TraceOptions,
+struct Buffers {
     runs: Ring<RunRecord>,
     host: Ring<HostEvent>,
+}
+
+struct SinkInner {
+    opts: TraceOptions,
     epoch: Instant,
+    bufs: Mutex<Buffers>,
 }
 
-static COLLECTOR: OnceLock<Mutex<Option<Collector>>> = OnceLock::new();
+/// A trace collector carried by value in [`crate::RunOptions`]. Clones
+/// share one buffer, so every `GpuSim` of one invocation records into the
+/// same document while other invocations keep their own.
+#[derive(Clone)]
+pub struct TraceSink(Arc<SinkInner>);
 
-/// Serializes sessions: at most one [`TraceSession`] exists at a time,
-/// and concurrent tests queue rather than interleave their traces.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn collector() -> &'static Mutex<Option<Collector>> {
-    COLLECTOR.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether a trace session is active (one atomic load — the simulator's
-/// only cost when tracing is off).
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
-/// The active session's options, if any.
-pub fn options() -> Option<TraceOptions> {
-    if !is_active() {
-        return None;
-    }
-    let slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    slot.as_ref().map(|c| c.opts)
-}
-
-/// Appends a finished run's record to the active session (no-op when
-/// inactive).
-pub fn record_run(rec: RunRecord) {
-    if !is_active() {
-        return;
-    }
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = slot.as_mut() {
-        c.runs.push(rec);
+impl std::fmt::Debug for TraceSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TraceSink").field(&self.0.opts).finish()
     }
 }
 
-/// Whether volatile host-side spans are being recorded.
-pub fn host_enabled() -> bool {
-    HOST_ACTIVE.load(Ordering::Acquire)
+/// Sinks compare by identity: two handles are equal when they share one
+/// buffer.
+impl PartialEq for TraceSink {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
-/// Records a host-side span from `start` to now (no-op unless
-/// [`host_enabled`]).
-pub fn host_span(name: String, tid: u64, start: Instant) {
-    if !host_enabled() {
-        return;
+impl TraceSink {
+    /// An empty sink recording under `opts`.
+    pub fn new(opts: TraceOptions) -> TraceSink {
+        TraceSink(Arc::new(SinkInner {
+            opts,
+            epoch: Instant::now(),
+            bufs: Mutex::new(Buffers {
+                runs: Ring::new(opts.run_cap),
+                host: Ring::new(opts.host_cap),
+            }),
+        }))
     }
-    let end = Instant::now();
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = slot.as_mut() {
-        let start_us = start.saturating_duration_since(c.epoch).as_micros() as u64;
+
+    /// The options this sink records under.
+    pub fn options(&self) -> TraceOptions {
+        self.0.opts
+    }
+
+    fn bufs(&self) -> std::sync::MutexGuard<'_, Buffers> {
+        self.0.bufs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends a finished run's record.
+    pub fn record_run(&self, rec: RunRecord) {
+        self.bufs().runs.push(rec);
+    }
+
+    /// Whether volatile host-side spans are recorded.
+    pub fn host_enabled(&self) -> bool {
+        self.0.opts.host_events
+    }
+
+    /// Records a host-side span from `start` to now (no-op unless
+    /// [`TraceSink::host_enabled`]).
+    pub fn host_span(&self, name: String, tid: u64, start: Instant) {
+        if !self.host_enabled() {
+            return;
+        }
+        let end = Instant::now();
+        let start_us = start.saturating_duration_since(self.0.epoch).as_micros() as u64;
         let dur_us = end.saturating_duration_since(start).as_micros() as u64;
-        c.host.push(HostEvent {
+        self.bufs().host.push(HostEvent {
             name,
             tid,
             start_us,
             dur_us,
         });
     }
-}
 
-/// An open trace session; dropping it without [`TraceSession::finish`]
-/// discards the collected data.
-pub struct TraceSession {
-    _lock: MutexGuard<'static, ()>,
-    finished: bool,
-}
-
-/// Opens a trace session. Blocks until any other session (e.g. from a
-/// concurrently running test) has closed.
-pub fn capture(opts: TraceOptions) -> TraceSession {
-    let lock = SESSION_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    {
-        let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(Collector {
-            opts,
-            runs: Ring::new(opts.run_cap),
-            host: Ring::new(opts.host_cap),
-            epoch: Instant::now(),
+    /// Takes everything recorded so far, leaving the sink empty.
+    pub fn finish(&self) -> TraceData {
+        let opts = self.0.opts;
+        let (runs, host) = {
+            let mut b = self.bufs();
+            (
+                std::mem::replace(&mut b.runs, Ring::new(opts.run_cap)),
+                std::mem::replace(&mut b.host, Ring::new(opts.host_cap)),
+            )
+        };
+        let (mut runs, dropped_runs) = runs.into_parts();
+        // Deterministic export order: completion order of parallel drivers
+        // must not leak into the document. Repeats of one (kernel, key,
+        // cache_hit) have identical content, so ties are harmless.
+        runs.sort_by(|a, b| {
+            (&a.kernel, &a.key, a.cache_hit).cmp(&(&b.kernel, &b.key, b.cache_hit))
         });
+        let (host_events, dropped_host_events) = host.into_parts();
+        // Mirror every dropped counter into the metrics registry so a capped
+        // buffer is visible to a scrape, not only to whoever reads the export.
+        let dropped_samples: u64 = runs.iter().map(|r| r.dropped_samples).sum();
+        let dropped_spans: u64 = runs.iter().map(|r| r.dropped_spans).sum();
+        dropped_gauge("runs").set(dropped_runs as i64);
+        dropped_gauge("samples").set(dropped_samples as i64);
+        dropped_gauge("cta_spans").set(dropped_spans as i64);
+        dropped_gauge("host_events").set(dropped_host_events as i64);
+        TraceData {
+            options: opts,
+            runs,
+            dropped_runs,
+            host_events,
+            dropped_host_events,
+        }
     }
-    HOST_ACTIVE.store(opts.host_events, Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
-    TraceSession {
-        _lock: lock,
-        finished: false,
-    }
-}
-
-fn deactivate_and_take() -> Option<TraceData> {
-    ACTIVE.store(false, Ordering::Release);
-    HOST_ACTIVE.store(false, Ordering::Release);
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    let c = slot.take()?;
-    let (mut runs, dropped_runs) = c.runs.into_parts();
-    // Deterministic export order: completion order of parallel drivers
-    // must not leak into the document. Repeats of one (kernel, key) have
-    // identical content, so ties are harmless.
-    runs.sort_by(|a, b| (&a.kernel, &a.key).cmp(&(&b.kernel, &b.key)));
-    let (host_events, dropped_host_events) = c.host.into_parts();
-    // Mirror every dropped counter into the metrics registry so a capped
-    // buffer is visible to a scrape, not only to whoever reads the export.
-    let dropped_samples: u64 = runs.iter().map(|r| r.dropped_samples).sum();
-    let dropped_spans: u64 = runs.iter().map(|r| r.dropped_spans).sum();
-    dropped_gauge("runs").set(dropped_runs as i64);
-    dropped_gauge("samples").set(dropped_samples as i64);
-    dropped_gauge("cta_spans").set(dropped_spans as i64);
-    dropped_gauge("host_events").set(dropped_host_events as i64);
-    Some(TraceData {
-        options: c.opts,
-        runs,
-        dropped_runs,
-        host_events,
-        dropped_host_events,
-    })
 }
 
 /// The `duplo_trace_dropped{kind=...}` gauge for one capped buffer kind
-/// (value: drops in the most recently finished trace session).
+/// (value: drops in the most recently finished trace sink).
 fn dropped_gauge(kind: &str) -> crate::metrics::Gauge {
     crate::metrics::volatile_gauge(
         &crate::metrics::labeled("duplo_trace_dropped", &[("kind", kind)]),
-        "Trace-buffer entries dropped at a cap in the last session, by kind",
+        "Trace-buffer entries dropped at a cap in the last finished sink, by kind",
     )
-}
-
-impl TraceSession {
-    /// Closes the session and returns everything it collected.
-    pub fn finish(mut self) -> TraceData {
-        self.finished = true;
-        deactivate_and_take().expect("session was active")
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = deactivate_and_take();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +436,7 @@ fn counter_event(name: &str, pid: u64, ts: u64, args: Json) -> Json {
 }
 
 impl TraceData {
-    /// Serializes the session as a Chrome trace-event document (object
+    /// Serializes the collected data as a Chrome trace-event document (object
     /// form, Perfetto-compatible). Timestamps are simulation cycles
     /// interpreted as microseconds; host spans (if recorded) live in
     /// `pid 0` with real microseconds. The top level carries
@@ -957,15 +927,14 @@ mod tests {
 
     #[test]
     fn capture_finish_roundtrip_with_sorting() {
-        let session = capture(TraceOptions {
-            run_cap: 2,
+        let sink = TraceSink::new(TraceOptions {
+            run_cap: 3,
             ..TraceOptions::default()
         });
-        assert!(is_active());
-        let rec = |kernel: &str, key: &str| RunRecord {
+        let rec = |kernel: &str, key: &str, cache_hit| RunRecord {
             kernel: kernel.to_string(),
             key: key.to_string(),
-            cache_hit: false,
+            cache_hit,
             cycles: 1.0,
             ctas_simulated: 1,
             interval: 1024,
@@ -974,14 +943,28 @@ mod tests {
             dropped_samples: 0,
             dropped_spans: 0,
         };
-        record_run(rec("zeta", "00"));
-        record_run(rec("alpha", "ff"));
-        record_run(rec("alpha", "aa")); // over run_cap: dropped
-        let data = session.finish();
-        assert!(!is_active());
+        sink.record_run(rec("zeta", "00", false));
+        sink.record_run(rec("alpha", "ff", true));
+        sink.record_run(rec("alpha", "ff", false));
+        sink.record_run(rec("alpha", "aa", false)); // over run_cap: dropped
+        // A clone shares the buffer; an independent sink does not.
+        let other = TraceSink::new(TraceOptions::default());
+        assert_eq!(sink.clone(), sink);
+        assert_ne!(other, sink);
+        let data = sink.clone().finish();
         assert_eq!(data.dropped_runs, 1);
-        let order: Vec<&str> = data.runs.iter().map(|r| r.kernel.as_str()).collect();
-        assert_eq!(order, ["alpha", "zeta"], "export order is (kernel, key)");
+        let order: Vec<(&str, bool)> = data
+            .runs
+            .iter()
+            .map(|r| (r.kernel.as_str(), r.cache_hit))
+            .collect();
+        assert_eq!(
+            order,
+            [("alpha", false), ("alpha", true), ("zeta", false)],
+            "export order is (kernel, key, cache_hit)"
+        );
+        assert!(other.finish().runs.is_empty());
+        assert!(sink.finish().runs.is_empty(), "finish drains the sink");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Versioned warp-instruction trace format with record/replay sessions.
+//! Versioned warp-instruction trace format with record/replay values.
 //!
 //! ROADMAP item 2: a trace-driven workload frontend. Any kernel the
 //! simulator runs — built-in generator or not — can be serialized to a
@@ -50,16 +50,17 @@
 //! [`WTRACE_VERSION`]. Errors carry a precise position path
 //! (`kernels[2].ctas[0].warps[1].ops[17].addr`) and never panic.
 //!
-//! # Record/replay sessions
+//! # Record/replay
 //!
-//! [`record`] opens a process-global recording session: every kernel that
-//! reaches [`crate::GpuSim::run`] is serialized (deduplicated by content)
-//! into the session; [`RecordSession::finish`] returns the collected
-//! records in a deterministic order, so recorded documents are
-//! byte-identical at any `DUPLO_THREADS`. [`replay`] opens the inverse
-//! session: each kernel the experiment generates is swapped for the
-//! matching [`TraceKernel`] before simulation, so the decoded trace — not
-//! the generator — is what actually drives the SM model. The cache key of
+//! Both directions are values carried in [`crate::RunOptions`]. A
+//! [`Recorder`] (`RunOptions::record`) captures every kernel that reaches
+//! [`crate::GpuSim::run`], deduplicated by content;
+//! [`Recorder::records`] returns them in a deterministic order, so
+//! recorded documents are byte-identical at any thread count. A
+//! [`ReplaySet`] (`RunOptions::replay`) is the inverse: each kernel the
+//! experiment generates is swapped for the matching [`TraceKernel`]
+//! before simulation, so the decoded trace — not the generator — is what
+//! actually drives the SM model. The cache key of
 //! a replayed kernel is salted with the trace content digest
 //! ([`Kernel::content_digest`]), so replay runs never alias generator runs
 //! in the run cache, while identical traces loaded from different file
@@ -69,8 +70,8 @@ use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc, validate_cta};
 
@@ -126,9 +127,9 @@ impl KernelRecord {
         digest::digest_json(&kernel_to_json(self))
     }
 
-    /// The session-matching key: descriptor fields plus the recorded CTA
+    /// The replay-matching key: descriptor fields plus the recorded CTA
     /// index set (but not the instruction bytes), the identity under which
-    /// [`replay`] swaps a generated kernel for this record.
+    /// a [`ReplaySet`] swaps a generated kernel for this record.
     pub fn match_key(&self) -> u128 {
         let indices: Vec<usize> = self.ctas.iter().map(|&(i, _)| i).collect();
         match_key_parts(
@@ -186,7 +187,8 @@ fn match_key_parts(
 
 /// The CTA indices a run of `kernel` under `cfg` actually simulates: each
 /// representative SM's round-robin share, truncated to the sampling
-/// prefix. This is what [`record`] captures and what [`replay`] matches.
+/// prefix. This is what a [`Recorder`] captures and a [`ReplaySet`]
+/// matches.
 pub fn simulated_ctas(cfg: &GpuConfig, num_ctas: usize) -> Vec<usize> {
     let mut set = BTreeSet::new();
     for sm_id in 0..cfg.sms_simulated {
@@ -809,197 +811,131 @@ impl Kernel for TraceKernel {
 }
 
 // ---------------------------------------------------------------------------
-// Record/replay sessions
+// Record/replay values
 // ---------------------------------------------------------------------------
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
-static REPLAYING: AtomicBool = AtomicBool::new(false);
+/// Captures every kernel run under the options carrying it (see
+/// [`crate::RunOptions::record`]). Clones share one record set.
+#[derive(Clone, Default)]
+pub struct Recorder(Arc<Mutex<HashMap<u128, KernelRecord>>>);
 
-enum SessionState {
-    Record {
-        /// match key -> captured record, deduplicated.
-        kernels: HashMap<u128, KernelRecord>,
-    },
-    Replay {
-        /// match key -> replacement kernel.
-        kernels: HashMap<u128, Arc<TraceKernel>>,
-        substituted: u64,
-    },
-}
-
-static STATE: OnceLock<Mutex<Option<SessionState>>> = OnceLock::new();
-
-/// Serializes sessions: at most one record **or** replay session exists at
-/// a time, and concurrent tests queue rather than interleave.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn state() -> &'static Mutex<Option<SessionState>> {
-    STATE.get_or_init(|| Mutex::new(None))
-}
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Called by [`crate::GpuSim::run`] on every kernel before simulation:
-/// captures the kernel into the active recording session, if any. The
-/// capture happens ahead of the run-cache lookup, so recording sees every
-/// kernel even when its result is served from cache. Kernels that are
-/// themselves replayed traces are skipped.
-pub fn observe(cfg: &GpuConfig, kernel: &dyn Kernel) {
-    if !RECORDING.load(Ordering::Acquire) || kernel.content_digest().is_some() {
-        return;
+impl fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Recorder")
     }
-    let key = match_key_for(cfg, kernel);
-    {
-        let slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        match slot.as_ref() {
-            Some(SessionState::Record { kernels }) if !kernels.contains_key(&key) => {}
-            _ => return, // no session, or this kernel is already captured
+}
+
+/// Recorders compare by identity (shared record set).
+impl PartialEq for Recorder {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Recorder {
+    /// Captures `kernel` as run under `cfg`. Called by
+    /// [`crate::GpuSim::run`] ahead of the run-cache lookup, so recording
+    /// sees every kernel even when its result is served from cache.
+    /// Kernels that are themselves replayed traces are skipped.
+    pub(crate) fn observe(&self, cfg: &GpuConfig, kernel: &dyn Kernel) {
+        if kernel.content_digest().is_some() {
+            return;
         }
-    }
-    // Materialize outside the lock: CTA generation dominates, and a racing
-    // duplicate capture is deterministic in content, so last-insert wins
-    // harmlessly.
-    let record = KernelRecord::capture(kernel, &simulated_ctas(cfg, kernel.num_ctas()));
-    let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(SessionState::Record { kernels }) = slot.as_mut() {
-        kernels.insert(key, record);
-    }
-}
-
-/// Called by [`crate::GpuSim::run`] on every kernel before simulation:
-/// under an active replay session, returns the recorded [`TraceKernel`]
-/// to simulate instead of `kernel`.
-///
-/// # Panics
-///
-/// Panics when a replay session is active but holds no record matching
-/// the kernel — the trace file was recorded for a different experiment or
-/// under a different sampling configuration, and silently falling back to
-/// the generator would make replay vacuous.
-pub fn substitute(cfg: &GpuConfig, kernel: &dyn Kernel) -> Option<Arc<TraceKernel>> {
-    if !REPLAYING.load(Ordering::Acquire) || kernel.content_digest().is_some() {
-        return None;
-    }
-    let key = match_key_for(cfg, kernel);
-    let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-    let Some(SessionState::Replay {
-        kernels,
-        substituted,
-    }) = slot.as_mut()
-    else {
-        return None;
-    };
-    match kernels.get(&key) {
-        Some(rk) => {
-            *substituted += 1;
-            Some(Arc::clone(rk))
+        let key = match_key_for(cfg, kernel);
+        if self.lock().contains_key(&key) {
+            return;
         }
-        None => panic!(
-            "wtrace replay: no recorded kernel matches {:?} ({} CTAs simulated of {}); \
-             the trace was recorded for a different experiment or sampling configuration",
-            kernel.name(),
-            simulated_ctas(cfg, kernel.num_ctas()).len(),
-            kernel.num_ctas(),
-        ),
+        // Materialize outside the lock: CTA generation dominates, and a
+        // racing duplicate capture is deterministic in content, so
+        // last-insert wins harmlessly.
+        let record = KernelRecord::capture(kernel, &simulated_ctas(cfg, kernel.num_ctas()));
+        self.lock().insert(key, record);
     }
-}
 
-/// An open recording session; see [`record`].
-pub struct RecordSession {
-    _lock: MutexGuard<'static, ()>,
-}
-
-/// Opens a recording session: until [`RecordSession::finish`], every
-/// kernel reaching [`crate::GpuSim::run`] is captured (deduplicated by
-/// descriptor + simulated-CTA set). Blocks until any other wtrace session
-/// has closed.
-pub fn record() -> RecordSession {
-    let lock = session_lock();
-    {
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(SessionState::Record {
-            kernels: HashMap::new(),
-        });
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u128, KernelRecord>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-    RECORDING.store(true, Ordering::Release);
-    RecordSession { _lock: lock }
-}
 
-impl RecordSession {
-    /// Closes the session and returns the captured records, sorted by
-    /// `(name, content digest)` so the encoded document is byte-identical
-    /// at any `DUPLO_THREADS`.
-    pub fn finish(self) -> Vec<KernelRecord> {
-        RECORDING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        let Some(SessionState::Record { kernels }) = slot.take() else {
-            return Vec::new();
-        };
-        let mut records: Vec<KernelRecord> = kernels.into_values().collect();
+    /// The captured records, sorted by `(name, content digest)` so the
+    /// encoded document is byte-identical at any thread count.
+    pub fn records(&self) -> Vec<KernelRecord> {
+        let mut records: Vec<KernelRecord> = self.lock().values().cloned().collect();
         records.sort_by_key(|r| (r.name.clone(), r.content_digest()));
         records
     }
 }
 
-impl Drop for RecordSession {
-    fn drop(&mut self) {
-        RECORDING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(slot.as_ref(), Some(SessionState::Record { .. })) {
-            *slot = None;
+/// Recorded kernels to simulate in place of the generated ones (see
+/// [`crate::RunOptions::replay`]). Clones share one substitution count.
+#[derive(Clone)]
+pub struct ReplaySet(Arc<ReplayInner>);
+
+struct ReplayInner {
+    /// match key -> replacement kernel.
+    kernels: HashMap<u128, Arc<TraceKernel>>,
+    substituted: AtomicU64,
+}
+
+impl fmt::Debug for ReplaySet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ReplaySet({} kernels)", self.0.kernels.len())
+    }
+}
+
+/// Replay sets compare by identity.
+impl PartialEq for ReplaySet {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl ReplaySet {
+    /// A replay set over `kernels`, matched by descriptor plus
+    /// simulated-CTA set.
+    pub fn new(kernels: Vec<TraceKernel>) -> ReplaySet {
+        ReplaySet(Arc::new(ReplayInner {
+            kernels: kernels
+                .into_iter()
+                .map(|k| (k.record.match_key(), Arc::new(k)))
+                .collect(),
+            substituted: AtomicU64::new(0),
+        }))
+    }
+
+    /// Runs substituted so far.
+    pub fn substituted(&self) -> u64 {
+        self.0.substituted.load(Ordering::Relaxed)
+    }
+
+    /// The recorded [`TraceKernel`] to simulate instead of `kernel` under
+    /// `cfg`; `None` for kernels that are already replayed traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no record matches the kernel — the trace file was
+    /// recorded for a different experiment or under a different sampling
+    /// configuration, and silently falling back to the generator would
+    /// make replay vacuous.
+    pub(crate) fn substitute(
+        &self,
+        cfg: &GpuConfig,
+        kernel: &dyn Kernel,
+    ) -> Option<Arc<TraceKernel>> {
+        if kernel.content_digest().is_some() {
+            return None;
         }
-    }
-}
-
-/// An open replay session; see [`replay`].
-pub struct ReplaySession {
-    _lock: MutexGuard<'static, ()>,
-}
-
-/// Opens a replay session over `kernels`: until the session closes, every
-/// generated kernel reaching [`crate::GpuSim::run`] is swapped for its
-/// recorded trace (matched by descriptor + simulated-CTA set). Blocks
-/// until any other wtrace session has closed.
-pub fn replay(kernels: Vec<TraceKernel>) -> ReplaySession {
-    let lock = session_lock();
-    let map: HashMap<u128, Arc<TraceKernel>> = kernels
-        .into_iter()
-        .map(|k| (k.record.match_key(), Arc::new(k)))
-        .collect();
-    {
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(SessionState::Replay {
-            kernels: map,
-            substituted: 0,
-        });
-    }
-    REPLAYING.store(true, Ordering::Release);
-    ReplaySession { _lock: lock }
-}
-
-impl ReplaySession {
-    /// Closes the session and returns how many runs were substituted.
-    pub fn finish(self) -> u64 {
-        REPLAYING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        match slot.take() {
-            Some(SessionState::Replay { substituted, .. }) => substituted,
-            _ => 0,
-        }
-    }
-}
-
-impl Drop for ReplaySession {
-    fn drop(&mut self) {
-        REPLAYING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(slot.as_ref(), Some(SessionState::Replay { .. })) {
-            *slot = None;
+        match self.0.kernels.get(&match_key_for(cfg, kernel)) {
+            Some(rk) => {
+                self.0.substituted.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(rk))
+            }
+            None => panic!(
+                "wtrace replay: no recorded kernel matches {:?} ({} CTAs simulated of {}); \
+                 the trace was recorded for a different experiment or sampling configuration",
+                kernel.name(),
+                simulated_ctas(cfg, kernel.num_ctas()).len(),
+                kernel.num_ctas(),
+            ),
         }
     }
 }

@@ -3,18 +3,27 @@
 //! JSON serializer, single-flight semantics under a parallel runner, and
 //! corrupted-disk-entry fallback.
 //!
-//! Every test that relies on cache behaviour holds a `cache::scoped_dir`
-//! guard: the guard serializes cache tests on a global lock (so one
-//! test's `cache::bypass` window cannot leak into another's hit counting)
-//! and pins the disk tier to a known directory (or to memory-only).
+//! Every test passes its own `CacheCtl` by value — its disk directory (or
+//! memory-only) and a private `CacheTally` — so the tests run in parallel
+//! and each counts exactly its own hits and misses. The one process-wide
+//! operation, `cache::clear_memory`, evicts every test's entries, so tests
+//! that evict and tests that expect memory hits take turns on
+//! `MEMORY_TIER`.
 
+use std::path::PathBuf;
+use std::sync::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use duplo_core::LhbConfig;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
+use duplo_sim::cache::{CacheCtl, CacheStats, CacheTally};
 use duplo_sim::json::{Json, parse};
-use duplo_sim::{GpuConfig, GpuSim, cache, digest, runner};
+use duplo_sim::{GpuConfig, GpuSim, RunOptions, cache, digest, runner};
 use duplo_testkit::prop;
+
+/// Held for writing around `cache::clear_memory`, for reading by tests
+/// whose assertions rely on the memory tier keeping their entries.
+static MEMORY_TIER: RwLock<()> = RwLock::new(());
 
 /// A configuration with a process-unique cache key: `clock_mhz` is part
 /// of the key (it is configuration) but never read by the simulator
@@ -27,15 +36,42 @@ fn unique_cfg() -> GpuConfig {
     cfg
 }
 
+/// Cache controls over `dir` (`None` = memory tier only) that count into
+/// a private tally.
+fn ctl(dir: Option<PathBuf>) -> CacheCtl {
+    CacheCtl {
+        disabled: false,
+        dir,
+        tally: Some(CacheTally::default()),
+    }
+}
+
+/// The counts `ctl` has seen so far.
+fn counts(ctl: &CacheCtl) -> CacheStats {
+    ctl.tally.as_ref().expect("ctl() carries a tally").get()
+}
+
+/// A simulation that bypasses the cache by value.
+fn simulate(cfg: &GpuConfig, kernel: &GemmTcKernel) -> duplo_sim::GpuRunResult {
+    let opts = RunOptions {
+        no_cache: true,
+        ..RunOptions::default()
+    };
+    GpuSim::with_options(cfg.clone(), opts).run(kernel)
+}
+
 /// One cached lookup whose `compute` path counts simulator invocations.
-/// The inner `bypass` guard keeps the nested `GpuSim::run` from
-/// re-entering the cache under the same key (which would self-deadlock
-/// the single-flight slot).
-fn counted_run(cfg: &GpuConfig, kernel: &GemmTcKernel, sims: &AtomicUsize) -> String {
-    let r = cache::run_cached(cfg, kernel, || {
+/// The nested simulation runs with the cache off, so it cannot re-enter
+/// the single-flight slot it is computing (a self-deadlock).
+fn counted_run(
+    ctl: &CacheCtl,
+    cfg: &GpuConfig,
+    kernel: &GemmTcKernel,
+    sims: &AtomicUsize,
+) -> String {
+    let r = cache::run_cached_ctl(ctl, cfg, kernel, || {
         sims.fetch_add(1, Ordering::SeqCst);
-        let _nocache = cache::bypass();
-        GpuSim::new(cfg.clone()).run(kernel)
+        simulate(cfg, kernel)
     });
     cache::result_to_json(&r).to_pretty()
 }
@@ -99,14 +135,15 @@ fn run_key_distinguishes_configs_and_kernels() {
 
 #[test]
 fn memory_hit_is_byte_identical_and_skips_simulation() {
-    let _dir = cache::scoped_dir(None); // memory tier only
+    let _shared = MEMORY_TIER.read().unwrap_or_else(|e| e.into_inner());
+    let ctl = ctl(None); // memory tier only
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(48, 32, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
-    let before = cache::stats();
-    let cached = counted_run(&cfg, &kernel, &sims);
-    let delta = cache::stats().since(&before);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
+    let before = counts(&ctl);
+    let cached = counted_run(&ctl, &cfg, &kernel, &sims);
+    let delta = counts(&ctl).since(&before);
     assert_eq!(
         sims.load(Ordering::SeqCst),
         1,
@@ -122,13 +159,14 @@ fn memory_hit_is_byte_identical_and_skips_simulation() {
 
 #[test]
 fn disk_tier_round_trips_byte_identically() {
+    let _evicting = MEMORY_TIER.write().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("duplo-cache-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _g = cache::scoped_dir(Some(dir.clone()));
+    let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(32, 48, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
     assert_eq!(sims.load(Ordering::SeqCst), 1);
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir must exist")
@@ -138,9 +176,9 @@ fn disk_tier_round_trips_byte_identically() {
     // Evict the memory tier: the reload must come from disk, not the
     // simulator, and serialize to the same bytes.
     cache::clear_memory();
-    let before = cache::stats();
-    let reloaded = counted_run(&cfg, &kernel, &sims);
-    let delta = cache::stats().since(&before);
+    let before = counts(&ctl);
+    let reloaded = counted_run(&ctl, &cfg, &kernel, &sims);
+    let delta = counts(&ctl).since(&before);
     assert_eq!(
         sims.load(Ordering::SeqCst),
         1,
@@ -154,13 +192,14 @@ fn disk_tier_round_trips_byte_identically() {
 
 #[test]
 fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
+    let _evicting = MEMORY_TIER.write().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("duplo-cache-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _g = cache::scoped_dir(Some(dir.clone()));
+    let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(16, 48, 32, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
     let entry = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -170,7 +209,7 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
         std::fs::write(&entry, garbage).unwrap();
         cache::clear_memory();
         let n_before = sims.load(Ordering::SeqCst);
-        let recomputed = counted_run(&cfg, &kernel, &sims);
+        let recomputed = counted_run(&ctl, &cfg, &kernel, &sims);
         assert_eq!(
             sims.load(Ordering::SeqCst),
             n_before + 1,
@@ -190,8 +229,7 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
 
 #[test]
 fn single_flight_under_four_threads() {
-    let _dir = cache::scoped_dir(None);
-    let _threads = runner::override_threads(4);
+    let _shared = MEMORY_TIER.read().unwrap_or_else(|e| e.into_inner());
     prop::check(
         "cache_single_flight",
         8,
@@ -206,19 +244,13 @@ fn single_flight_under_four_threads() {
         |&(m, n, k)| {
             let cfg = unique_cfg(); // private key even when dims repeat
             let kernel = GemmTcKernel::new(m, n, k, SmemPolicy::COnly);
-            // Simulate once up front, outside the cache. The parallel
-            // compute closures must not hold the (process-global) bypass
-            // guard: while one lane held it the others would skip the
-            // cache entirely, which is exactly the interference this test
-            // is meant to rule out of the cache itself.
-            let expected = {
-                let _nocache = cache::bypass();
-                GpuSim::new(cfg.clone()).run(&kernel)
-            };
+            // Simulate once up front, outside the cache.
+            let expected = simulate(&cfg, &kernel);
+            let ctl = ctl(None);
             let sims = AtomicUsize::new(0);
             let lanes: Vec<usize> = (0..8).collect();
-            let runs = runner::par_map(&lanes, |_| {
-                let r = cache::run_cached(&cfg, &kernel, || {
+            let runs = runner::par_map_opt(Some(4), &lanes, |_| {
+                let r = cache::run_cached_ctl(&ctl, &cfg, &kernel, || {
                     sims.fetch_add(1, Ordering::SeqCst);
                     expected.clone()
                 });
@@ -233,6 +265,12 @@ fn single_flight_under_four_threads() {
             let want = cache::result_to_json(&expected).to_pretty();
             if runs.iter().any(|r| *r != want) {
                 return Err("followers must observe the leader's exact result".to_string());
+            }
+            let c = counts(&ctl);
+            if (c.hits, c.misses) != (7, 1) {
+                return Err(format!(
+                    "the run's own tally must read 7 hits, 1 miss: {c:?}"
+                ));
             }
             Ok(())
         },

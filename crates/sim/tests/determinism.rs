@@ -1,15 +1,15 @@
 //! Determinism gate for the parallel execution engine: the same experiment
 //! must render byte-identical tables at every thread count.
 //!
-//! `scripts/ci.sh` runs this test binary twice, under `DUPLO_THREADS=1`
-//! and `DUPLO_THREADS=4`, so both the env-variable path and the in-process
-//! override path of `duplo_sim::runner` are exercised.
+//! The options come from `RunOptions::from_env`: `scripts/ci.sh` runs
+//! this binary under `DUPLO_THREADS=1` and `4`, with the reference loop
+//! (`DUPLO_TICK_REFERENCE`) and with a sliced L2 (`DUPLO_L2_SLICES`), and
+//! each test also pins explicit thread counts by value.
 
 use duplo_sim::experiments::{
     RunOptions, fig09_lhb_size, fig10_hit_rate, size_configs, sweep_layers,
 };
 use duplo_sim::networks::all_layers;
-use duplo_sim::runner;
 
 /// The three smallest Table I layers (deterministically picked), keeping
 /// debug-mode runtime bounded while still fanning 15 jobs out.
@@ -23,8 +23,21 @@ fn probe_layers() -> Vec<duplo_sim::networks::LayerSpec> {
     layers
 }
 
-fn render_once() -> String {
-    let sweeps = sweep_layers(&probe_layers(), &size_configs(), &RunOptions::quick());
+/// Quick-sampled options from the environment, cache off (a memoized
+/// second sweep would make the thread-count comparison vacuous), at
+/// `threads` (`None` keeps the environment's setting).
+fn options(threads: Option<usize>) -> RunOptions {
+    let env = RunOptions::from_env().expect("valid DUPLO_* environment");
+    RunOptions {
+        sample_ctas: Some(2),
+        no_cache: true,
+        threads: threads.or(env.threads),
+        ..env
+    }
+}
+
+fn render_once(threads: Option<usize>) -> String {
+    let sweeps = sweep_layers(&probe_layers(), &size_configs(), &options(threads));
     format!(
         "{}{}",
         fig09_lhb_size::render(&sweeps),
@@ -34,17 +47,8 @@ fn render_once() -> String {
 
 #[test]
 fn experiment_tables_identical_at_one_and_many_threads() {
-    // Bypass the run cache: a memoized second sweep would make the
-    // thread-count comparison vacuous.
-    let _nocache = duplo_sim::cache::bypass();
-    let serial = {
-        let _g = runner::override_threads(1);
-        render_once()
-    };
-    let parallel = {
-        let _g = runner::override_threads(4);
-        render_once()
-    };
+    let serial = render_once(Some(1));
+    let parallel = render_once(Some(4));
     assert_eq!(
         serial, parallel,
         "rendered tables must be byte-identical regardless of thread count"
@@ -56,20 +60,13 @@ fn experiment_tables_identical_at_one_and_many_threads() {
 /// be byte-identical at every thread count.
 #[test]
 fn json_results_identical_at_one_and_many_threads() {
-    let _nocache = duplo_sim::cache::bypass();
-    let json_once = || {
-        let opts = RunOptions::quick();
+    let json_once = |threads| {
+        let opts = options(Some(threads));
         let sweeps = sweep_layers(&probe_layers(), &size_configs(), &opts);
         fig09_lhb_size::result(&sweeps, &opts).to_pretty()
     };
-    let serial = {
-        let _g = runner::override_threads(1);
-        json_once()
-    };
-    let parallel = {
-        let _g = runner::override_threads(4);
-        json_once()
-    };
+    let serial = json_once(1);
+    let parallel = json_once(4);
     assert_eq!(
         serial, parallel,
         "JSON results must be byte-identical regardless of thread count"
@@ -80,11 +77,7 @@ fn json_results_identical_at_one_and_many_threads() {
 fn ambient_thread_count_matches_forced_serial() {
     // Under ci.sh this runs with DUPLO_THREADS set in the environment;
     // whatever the ambient configuration is, output must match serial.
-    let _nocache = duplo_sim::cache::bypass();
-    let ambient = render_once();
-    let serial = {
-        let _g = runner::override_threads(1);
-        render_once()
-    };
+    let ambient = render_once(None);
+    let serial = render_once(Some(1));
     assert_eq!(ambient, serial);
 }

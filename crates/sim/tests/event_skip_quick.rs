@@ -5,31 +5,34 @@
 //! Run with `--ignored` (release): the tick-by-tick reference is too slow
 //! for the debug suite.
 //!
-//! This file holds exactly one `#[test]` so it gets its own process: it
-//! flips the process-global `force_tick_reference` toggle, which must not
-//! race other tests running concurrently in the same binary.
+//! The options come from `RunOptions::from_env`, so `scripts/ci.sh` can
+//! run this gate with a sliced L2 (`DUPLO_L2_SLICES`); the loop mode is
+//! selected per run by value.
 
-use duplo_sim::cache;
 use duplo_sim::experiments::{RunOptions, find_experiment};
-use duplo_sm::force_tick_reference;
 
 #[test]
 #[ignore = "reference loop is slow in debug — run in release via scripts/ci.sh"]
 fn quick_registry_experiments_match_reference_loop() {
     // Cached results would short-circuit the simulation entirely.
-    let _nocache = cache::bypass();
-    let opts = RunOptions::quick();
+    let event_opts = RunOptions {
+        sample_ctas: Some(2),
+        no_cache: true,
+        tick_reference: false,
+        ..RunOptions::from_env().expect("valid DUPLO_* environment")
+    };
+    let reference_opts = RunOptions {
+        tick_reference: true,
+        ..event_opts.clone()
+    };
     // A cheap cross-section: the shared-memory policy comparison (the
     // barrier/TLP-heavy shape the wakeup wheel accelerates most), the
     // Fig. 10 LHB hit-rate sweep, and the implicit-GEMM shared-path
     // extension (exercises `lhb_on_shared` end to end).
     for name in ["smem_policy", "fig10_hit_rate", "ext_implicit"] {
         let spec = find_experiment(name).expect("registered experiment");
-        force_tick_reference(false);
-        let event = (spec.run)(&opts);
-        force_tick_reference(true);
-        let reference = (spec.run)(&opts);
-        force_tick_reference(false);
+        let event = (spec.run)(&event_opts);
+        let reference = (spec.run)(&reference_opts);
         assert_eq!(
             event.rendered, reference.rendered,
             "{name}: rendered table diverged"

@@ -2,25 +2,24 @@
 //! release builds (`--ignored`): every registered experiment's rendered
 //! table and structured result must be byte-identical between the
 //! event-driven wakeup-wheel loop and the tick-by-tick reference.
-//!
-//! One `#[test]` per file: this flips the process-global
-//! `force_tick_reference` toggle and must own its process.
+//! The loop mode is selected per run by value (`tick_reference`).
 
-use duplo_sim::cache;
 use duplo_sim::experiments::{RunOptions, registry};
-use duplo_sm::force_tick_reference;
 
 #[test]
 #[ignore = "full registry x2 — run in release via scripts/ci.sh"]
 fn full_registry_matches_reference_loop() {
-    let _nocache = cache::bypass();
-    let opts = RunOptions::quick();
+    let event_opts = RunOptions {
+        no_cache: true,
+        ..RunOptions::quick()
+    };
+    let reference_opts = RunOptions {
+        tick_reference: true,
+        ..event_opts.clone()
+    };
     for spec in registry() {
-        force_tick_reference(false);
-        let event = (spec.run)(&opts);
-        force_tick_reference(true);
-        let reference = (spec.run)(&opts);
-        force_tick_reference(false);
+        let event = (spec.run)(&event_opts);
+        let reference = (spec.run)(&reference_opts);
         assert_eq!(
             event.rendered, reference.rendered,
             "{}: rendered table diverged",

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use duplo_sim::experiments::find_experiment;
 use duplo_sim::json::Json;
-use duplo_sim::{RunOptions, metrics, runner};
+use duplo_sim::{RunOptions, metrics};
 
 /// Stable metric values by name. Histograms are volatile by definition,
 /// so every stable entry is a scalar `value`.
@@ -38,13 +38,13 @@ fn delta(before: &BTreeMap<String, i64>, after: &BTreeMap<String, i64>) -> BTree
 #[test]
 fn stable_metric_deltas_are_thread_count_invariant() {
     let spec = find_experiment("smem_policy").expect("registry experiment");
-    let opts = RunOptions {
-        no_cache: true,
-        sample_ctas: Some(2),
-        ..RunOptions::default()
-    };
     let run_and_measure = |threads: usize| {
-        let _guard = runner::override_threads(threads);
+        let opts = RunOptions {
+            no_cache: true,
+            sample_ctas: Some(2),
+            threads: Some(threads),
+            ..RunOptions::default()
+        };
         let before = snapshot_map();
         let _ = (spec.run)(&opts);
         delta(&before, &snapshot_map())

@@ -5,21 +5,28 @@
 //! The single-flight proof needs no knowledge of how many kernels an
 //! experiment runs: for N identical cold submissions every kernel is
 //! simulated exactly once (the misses) and every other lookup joins the
-//! in-flight leader or the warm tiers (the hits), so the global counter
-//! deltas must satisfy `hits == (N - 1) * misses` exactly.
+//! in-flight leader or the warm tiers (the hits), so the per-submission
+//! `X-Duplo-Cache-*` headers must sum to `hits == (N - 1) * misses`
+//! exactly, and every submission must report the same lookup count.
 //!
 //! A scraper thread hits `/v1/metrics` throughout both storms, proving
 //! the registry is readable under load, that the in-flight gauge never
 //! exceeds the worker count, and (afterwards) that the request counters
-//! account for exactly every client submission.
+//! account for exactly every client submission. Those gauges and counters
+//! are process-wide, so the two soak variants take turns.
 
-use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
+use duplo_sim::RunOptions;
+use duplo_sim::cache::CacheStats;
 use duplo_sim::experiments::find_experiment;
 use duplo_sim::json::{Json, parse};
-use duplo_sim::serve::{ServeOptions, Server, http_request};
-use duplo_sim::{RunOptions, cache, runner};
+use duplo_sim::serve::{HttpReply, ServeOptions, Server, http_request};
+
+/// Serializes the soak variants: both observe process-wide traffic
+/// metrics.
+static SOAK: Mutex<()> = Mutex::new(());
 
 /// One stable-agnostic scrape of `/v1/metrics?format=json`, returning the
 /// named metric's scalar value (0 when it has not been registered yet).
@@ -45,9 +52,25 @@ fn submission_body(name: &str, sample: usize) -> String {
     format!("{{\"experiment\": \"{name}\", \"options\": {{\"sample_ctas\": {sample}}}}}")
 }
 
-/// Fires `CLIENTS` concurrent submissions and returns (bodies, stats delta).
-fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
-    let before = cache::stats();
+/// A reply's `X-Duplo-Cache-*` counts.
+fn reply_counts(reply: &HttpReply) -> CacheStats {
+    let header = |name: &str| -> u64 {
+        reply
+            .header(name)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("reply lacks a numeric {name} header"))
+    };
+    CacheStats {
+        hits: header("x-duplo-cache-hits"),
+        misses: header("x-duplo-cache-misses"),
+        bytes: 0,
+    }
+}
+
+/// Fires `CLIENTS` concurrent submissions and returns the bodies and the
+/// summed per-submission cache counts. Every submission's own lookups
+/// (hits + misses) must number `lookups` when given.
+fn storm(addr: &str, body: &str, lookups: Option<u64>) -> (Vec<Vec<u8>>, CacheStats) {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let addr = addr.to_string();
@@ -61,15 +84,27 @@ fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
                     "submission failed: {}",
                     String::from_utf8_lossy(&reply.body)
                 );
-                reply.body
+                reply
             })
         })
         .collect();
-    let bodies: Vec<Vec<u8>> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread must not panic"))
-        .collect();
-    (bodies, cache::stats().since(&before))
+    let mut bodies = Vec::new();
+    let mut sum = CacheStats::default();
+    let mut per_submission = None;
+    for h in handles {
+        let reply = h.join().expect("client thread must not panic");
+        let c = reply_counts(&reply);
+        let own = c.hits + c.misses;
+        assert_eq!(
+            own,
+            *per_submission.get_or_insert(lookups.unwrap_or(own)),
+            "every submission reports exactly its own lookups"
+        );
+        sum.hits += c.hits;
+        sum.misses += c.misses;
+        bodies.push(reply.body);
+    }
+    (bodies, sum)
 }
 
 /// The full soak: cold storm, warm storm, byte-identity vs a direct run,
@@ -77,7 +112,7 @@ fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
 /// two thread-count variants cannot warm each other through the
 /// process-global memory tier.
 fn soak(threads: usize, sample: usize) {
-    let _guard = runner::override_threads(threads);
+    let _turn = SOAK.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = std::env::temp_dir().join(format!(
         "duplo-soak-{}-t{threads}-s{sample}",
         std::process::id()
@@ -86,6 +121,7 @@ fn soak(threads: usize, sample: usize) {
 
     let defaults = RunOptions {
         cache_dir: Some(cache_dir.clone()),
+        threads: Some(threads),
         ..RunOptions::default()
     };
     let server = Server::start(ServeOptions {
@@ -103,8 +139,8 @@ fn soak(threads: usize, sample: usize) {
     let name = "smem_policy";
     let body = submission_body(name, sample);
 
-    // Counters are process-global and cumulative across both soak
-    // variants, so all request-accounting below works on deltas.
+    // Request counters are process-global and cumulative across both soak
+    // variants, so the request accounting below works on deltas.
     let submit_ok = "duplo_serve_requests_total{route=\"/v1/submit\",status=\"200\"}";
     let submits_before = scrape_metric(&addr, submit_ok);
 
@@ -136,7 +172,7 @@ fn soak(threads: usize, sample: usize) {
     };
 
     // Phase 1: cold storm. One simulation per kernel, everyone else rides.
-    let (cold_bodies, cold) = storm(&addr, &body);
+    let (cold_bodies, cold) = storm(&addr, &body, None);
     assert!(cold.misses > 0, "a cold storm must simulate something");
     assert_eq!(
         cold.hits,
@@ -148,7 +184,7 @@ fn soak(threads: usize, sample: usize) {
     );
 
     // Phase 2: warm storm. Nothing simulates; every lookup hits.
-    let (warm_bodies, warm) = storm(&addr, &body);
+    let (warm_bodies, warm) = storm(&addr, &body, Some(cold.misses));
     assert_eq!(warm.misses, 0, "a warm storm must not simulate");
     assert_eq!(warm.hits, CLIENTS as u64 * cold.misses);
 

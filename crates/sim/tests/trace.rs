@@ -10,25 +10,17 @@
 //! * tracing does not perturb simulation results, and cache hits are
 //!   recorded as timeline-less records.
 //!
-//! Any `GpuSim::run` in this process is recorded into whichever trace
-//! session is active, so the tests serialize on one file-level lock:
-//! a concurrent "plain" run must never leak into another test's session.
-
-use std::sync::{Mutex, MutexGuard};
+//! Each run records into the sink its own options carry, so the tests
+//! run in parallel without leaking records into each other.
 
 use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
+use duplo_sim::cache::CacheTally;
 use duplo_sim::json::Json;
-use duplo_sim::trace::{self, TraceOptions};
-use duplo_sim::{GpuConfig, GpuSim, runner};
+use duplo_sim::trace::{TraceOptions, TraceSink};
+use duplo_sim::{GpuConfig, GpuSim, RunOptions};
 use duplo_tensor::Nhwc;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A 392-CTA layer over 5 simulated SMs: distinct per-SM shares, so both
 /// the stat fold and the sample aggregation have real cross-SM work.
@@ -40,21 +32,28 @@ fn kernel_and_cfg() -> (GemmTcKernel, GpuConfig) {
     (GemmTcKernel::from_conv(&p, SmemPolicy::COnly), cfg)
 }
 
+/// Uncached run options at `threads`, recording into `sink` when given.
+fn options(threads: usize, sink: Option<&TraceSink>) -> RunOptions {
+    RunOptions {
+        threads: Some(threads),
+        no_cache: true,
+        trace_sink: sink.cloned(),
+        ..RunOptions::default()
+    }
+}
+
 fn traced_export(threads: usize, interval: u64) -> String {
-    let _nocache = duplo_sim::cache::bypass();
-    let _g = runner::override_threads(threads);
-    let session = trace::capture(TraceOptions {
+    let sink = TraceSink::new(TraceOptions {
         interval,
         ..TraceOptions::default()
     });
     let (kernel, cfg) = kernel_and_cfg();
-    GpuSim::new(cfg).run(&kernel);
-    session.finish().to_chrome_json().to_pretty()
+    GpuSim::with_options(cfg, options(threads, Some(&sink))).run(&kernel);
+    sink.finish().to_chrome_json().to_pretty()
 }
 
 #[test]
 fn trace_export_identical_at_one_and_many_threads() {
-    let _t = serialize();
     let serial = traced_export(1, 256);
     let parallel = traced_export(4, 256);
     assert_eq!(
@@ -65,16 +64,13 @@ fn trace_export_identical_at_one_and_many_threads() {
 
 #[test]
 fn interval_deltas_sum_to_run_metrics_totals() {
-    let _t = serialize();
-    let _nocache = duplo_sim::cache::bypass();
-    let _g = runner::override_threads(2);
-    let session = trace::capture(TraceOptions {
+    let sink = TraceSink::new(TraceOptions {
         interval: 128,
         ..TraceOptions::default()
     });
     let (kernel, cfg) = kernel_and_cfg();
-    let result = GpuSim::new(cfg).run(&kernel);
-    let data = session.finish();
+    let result = GpuSim::with_options(cfg, options(2, Some(&sink))).run(&kernel);
+    let data = sink.finish();
     assert_eq!(data.runs.len(), 1);
     let run = &data.runs[0];
     assert_eq!(run.dropped_samples, 0, "caps must not truncate this run");
@@ -126,10 +122,7 @@ fn interval_deltas_sum_to_run_metrics_totals() {
 
 #[test]
 fn capped_buffers_report_drops() {
-    let _t = serialize();
-    let _nocache = duplo_sim::cache::bypass();
-    let _g = runner::override_threads(1);
-    let session = trace::capture(TraceOptions {
+    let sink = TraceSink::new(TraceOptions {
         interval: 64,
         sample_cap: 2,
         span_cap: 1,
@@ -137,10 +130,10 @@ fn capped_buffers_report_drops() {
         ..TraceOptions::default()
     });
     let (kernel, cfg) = kernel_and_cfg();
-    let sim = GpuSim::new(cfg);
+    let sim = GpuSim::with_options(cfg, options(1, Some(&sink)));
     sim.run(&kernel);
     sim.run(&kernel); // over run_cap: counted, not kept
-    let data = session.finish();
+    let data = sink.finish();
     assert_eq!(data.runs.len(), 1);
     assert_eq!(data.dropped_runs, 1);
     let run = &data.runs[0];
@@ -161,17 +154,11 @@ fn capped_buffers_report_drops() {
 
 #[test]
 fn tracing_does_not_perturb_results() {
-    let _t = serialize();
-    let _nocache = duplo_sim::cache::bypass();
-    let _g = runner::override_threads(2);
     let (kernel, cfg) = kernel_and_cfg();
-    let plain = GpuSim::new(cfg.clone()).run(&kernel);
-    let traced = {
-        let session = trace::capture(TraceOptions::default());
-        let r = GpuSim::new(cfg).run(&kernel);
-        session.finish();
-        r
-    };
+    let plain = GpuSim::with_options(cfg.clone(), options(2, None)).run(&kernel);
+    let sink = TraceSink::new(TraceOptions::default());
+    let traced = GpuSim::with_options(cfg, options(2, Some(&sink))).run(&kernel);
+    assert_eq!(sink.finish().runs.len(), 1);
     assert_eq!(
         format!("{plain:?}"),
         format!("{traced:?}"),
@@ -181,18 +168,20 @@ fn tracing_does_not_perturb_results() {
 
 #[test]
 fn cache_hits_are_recorded_without_timeline() {
-    let _t = serialize();
-    // Memory tier only, and no bypass: the second run must be served from
-    // cache and still appear in the trace as a timeline-less record.
-    let _dir = duplo_sim::cache::scoped_dir(None);
-    let _g = runner::override_threads(1);
-    let session = trace::capture(TraceOptions::default());
-    let (kernel, cfg) = kernel_and_cfg();
-    let sim = GpuSim::new(cfg);
+    // Memory tier only: the second run must be served from cache and
+    // still appear in the trace as a timeline-less record.
+    let sink = TraceSink::new(TraceOptions::default());
+    let (kernel, mut cfg) = kernel_and_cfg();
+    cfg.clock_mhz = 1_000_001; // a key no other test in this process touches
+    let opts = RunOptions {
+        no_cache: false,
+        ..options(1, Some(&sink))
+    };
+    let sim = GpuSim::with_options(cfg, opts);
     let first = sim.run(&kernel);
     let second = sim.run(&kernel);
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
-    let data = session.finish();
+    let data = sink.finish();
     assert_eq!(data.runs.len(), 2);
     let hits: Vec<_> = data.runs.iter().filter(|r| r.cache_hit).collect();
     let misses: Vec<_> = data.runs.iter().filter(|r| !r.cache_hit).collect();
@@ -201,4 +190,39 @@ fn cache_hits_are_recorded_without_timeline() {
     assert!(hits[0].samples.is_empty(), "cache hits carry no timeline");
     assert!(!misses[0].samples.is_empty());
     assert_eq!(hits[0].cycles, misses[0].cycles);
+}
+
+/// Concurrent identical traced runs share one simulation: the single-flight
+/// follower (or a later memory hit) is recorded as a timeline-less
+/// `cache_hit` record in its own sink.
+#[test]
+fn concurrent_traced_runs_simulate_once() {
+    let (kernel, mut cfg) = kernel_and_cfg();
+    cfg.clock_mhz = 1_000_002; // a key no other test in this process touches
+    let sinks = [
+        TraceSink::new(TraceOptions::default()),
+        TraceSink::new(TraceOptions::default()),
+    ];
+    let tallies = [CacheTally::default(), CacheTally::default()];
+    std::thread::scope(|scope| {
+        for (sink, tally) in sinks.iter().zip(&tallies) {
+            let opts = RunOptions {
+                threads: Some(1),
+                cache_tally: Some(tally.clone()),
+                trace_sink: Some(sink.clone()),
+                ..RunOptions::default()
+            };
+            let (cfg, kernel) = (&cfg, &kernel);
+            scope.spawn(move || GpuSim::with_options(cfg.clone(), opts).run(kernel));
+        }
+    });
+    let misses: u64 = tallies.iter().map(|t| t.get().misses).sum();
+    let hits: u64 = tallies.iter().map(|t| t.get().hits).sum();
+    assert_eq!((misses, hits), (1, 1), "one simulation, one ride");
+    let mut records: Vec<_> = sinks.iter().flat_map(|s| s.finish().runs).collect();
+    records.sort_by_key(|r| r.cache_hit);
+    assert_eq!(records.len(), 2);
+    assert!(!records[0].cache_hit && !records[0].samples.is_empty());
+    assert!(records[1].cache_hit && records[1].samples.is_empty());
+    assert_eq!(records[0].key, records[1].key);
 }

@@ -15,7 +15,7 @@
 //!   tensor-core-load row-segment, in parallel with the L1 (§IV-B: "Duplo
 //!   accesses the LHB and L1 cache in parallel").
 //!
-//! Entry point: [`run_kernel`] executes a set of CTAs on one simulated SM
+//! Entry point: [`run_kernel_mode`] executes a set of CTAs on one simulated SM
 //! and returns [`SmStats`].
 
 #![forbid(unsafe_code)]
@@ -32,14 +32,12 @@ pub mod warp;
 pub use config::{SchedulerPolicy, SmConfig};
 pub use duplo_mem::SliceStat;
 pub use sm::{
-    LoopProfile, Sm, force_tick_reference, loop_profile, run_kernel, run_kernel_mode,
-    run_kernel_reference, run_kernel_traced, run_kernel_traced_mode, run_kernel_traced_reference,
-    simulated_cycles,
+    LoopProfile, Sm, loop_profile, run_kernel_mode, run_kernel_traced_mode, simulated_cycles,
 };
 pub use stats::{ServiceCounts, SmStats, StallBreakdown};
 pub use trace::{CtaSpan, SmSample, SmTraceData, TraceSpec};
 
-// `run_kernel` calls are fanned out across threads by the whole-GPU
+// `run_kernel_mode` calls are fanned out across threads by the whole-GPU
 // simulator: its inputs must be sendable and its result collectable from a
 // worker. Compile-time proof, so a stray `Rc`/`RefCell` in a config or
 // stats field fails here rather than at the distant call site.

@@ -28,8 +28,8 @@
 //!   holds bit-exactly and [`SmStats`] is byte-identical to the reference
 //!   loop — the `event_skip` equivalence suite pins this.
 //!
-//! Set `DUPLO_TICK_REFERENCE=1` (or call [`force_tick_reference`]) to run
-//! the tick-by-tick reference loop instead.
+//! Pass `reference: true` to [`run_kernel_mode`] (or call
+//! [`Sm::set_event_skip`]) to run the tick-by-tick reference loop instead.
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::ldst::{Inflight, LdstUnit, MemKind};
@@ -42,8 +42,7 @@ use duplo_isa::{ArchReg, Kernel, Op, Space};
 use duplo_mem::MemoryHierarchy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::OnceLock;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulated cycles accumulated by every `run_kernel*` call in this
 /// process (all SMs, all runs). The bench trajectory divides deltas of
@@ -61,10 +60,6 @@ static SIM_SKIPPED_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// `run_kernel*` invocations (== `drive` calls) so far.
 static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide override forcing the tick-by-tick reference loop (see
-/// [`force_tick_reference`]).
-static TICK_REFERENCE: AtomicBool = AtomicBool::new(false);
 
 /// Total simulated SM cycles across every `run_kernel*` call so far.
 pub fn simulated_cycles() -> u64 {
@@ -101,22 +96,6 @@ pub fn loop_profile() -> LoopProfile {
         ticks_walked: cycles.saturating_sub(cycles_skipped),
         runs: SIM_RUNS.load(Ordering::Relaxed),
     }
-}
-
-/// Forces (or releases) the tick-by-tick reference loop process-wide.
-/// Results are identical either way — the reference loop exists so the
-/// equivalence gates and the bench trajectory's reference column have
-/// something to diff against. The `DUPLO_TICK_REFERENCE` environment
-/// variable (any value but `0`) has the same effect.
-pub fn force_tick_reference(on: bool) {
-    TICK_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether new SMs should use the tick-by-tick reference loop.
-fn reference_mode() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var_os("DUPLO_TICK_REFERENCE").is_some_and(|v| v != "0"))
-        || TICK_REFERENCE.load(Ordering::SeqCst)
 }
 
 #[derive(Clone, Debug)]
@@ -261,7 +240,7 @@ impl Sm {
             stats: SmStats::default(),
             tracer: None,
             cycle: 0,
-            event_skip: !reference_mode(),
+            event_skip: true,
             progress: false,
             skips_taken: 0,
             cycles_skipped: 0,
@@ -1224,6 +1203,11 @@ enum IssueResult {
 }
 
 /// Drives `sm` until all of `cta_ids` have launched and drained.
+///
+/// Kept out of line: inlined into its single caller, the tick loop ran
+/// about 20% slower on the reference loop (release build, x86-64,
+/// alternating A/B runs of `duplo run fig12_assoc --sample 2`).
+#[inline(never)]
 fn drive(sm: &mut Sm, kernel: &dyn Kernel, cta_ids: &[usize]) {
     let mut backlog: VecDeque<usize> = cta_ids.iter().copied().collect();
     const LIMIT: u64 = 2_000_000_000;
@@ -1251,83 +1235,36 @@ fn drive(sm: &mut Sm, kernel: &dyn Kernel, cta_ids: &[usize]) {
 }
 
 /// Runs `cta_ids` of `kernel` to completion on one SM and returns the
-/// statistics.
+/// statistics. `reference: true` selects the tick-by-tick reference loop
+/// for this run; statistics are byte-identical either way (the
+/// equivalence suites assert exactly that), only wall-clock time differs.
 ///
 /// # Panics
 ///
 /// Panics if the simulation exceeds two billion cycles (deadlock guard).
-pub fn run_kernel(kernel: &dyn Kernel, cta_ids: &[usize], config: SmConfig) -> SmStats {
-    run_kernel_mode(kernel, cta_ids, config, false)
-}
-
-/// Like [`run_kernel`], but forces the tick-by-tick reference loop for
-/// this run regardless of process-wide settings. Statistics are
-/// byte-identical to [`run_kernel`]'s — the equivalence suite asserts
-/// exactly that — only wall-clock time differs.
-pub fn run_kernel_reference(kernel: &dyn Kernel, cta_ids: &[usize], config: SmConfig) -> SmStats {
-    run_kernel_mode(kernel, cta_ids, config, true)
-}
-
-/// [`run_kernel`] with the loop mode selected by value: `reference: true`
-/// forces the tick-by-tick reference loop for this run only, without
-/// touching the process-wide [`force_tick_reference`] flag, so concurrent
-/// runs can mix modes. `false` still defers to the process-wide settings
-/// (`DUPLO_TICK_REFERENCE`, the forced flag), preserving the historical
-/// behavior of [`run_kernel`].
 pub fn run_kernel_mode(
     kernel: &dyn Kernel,
     cta_ids: &[usize],
     config: SmConfig,
     reference: bool,
 ) -> SmStats {
-    let mut sm = Sm::new(config, kernel);
-    if reference {
-        sm.set_event_skip(false);
-    }
-    drive(&mut sm, kernel, cta_ids);
-    sm.into_stats()
+    run_kernel_traced_mode(kernel, cta_ids, config, reference, None).0
 }
 
-/// Like [`run_kernel`], but records a cycle-resolved trace per `spec`.
-///
-/// # Panics
-///
-/// Panics if the simulation exceeds two billion cycles (deadlock guard).
-pub fn run_kernel_traced(
-    kernel: &dyn Kernel,
-    cta_ids: &[usize],
-    config: SmConfig,
-    spec: TraceSpec,
-) -> (SmStats, SmTraceData) {
-    run_kernel_traced_mode(kernel, cta_ids, config, spec, false)
-}
-
-/// Like [`run_kernel_traced`], but on the tick-by-tick reference loop (the
-/// traced counterpart of [`run_kernel_reference`]).
-pub fn run_kernel_traced_reference(
-    kernel: &dyn Kernel,
-    cta_ids: &[usize],
-    config: SmConfig,
-    spec: TraceSpec,
-) -> (SmStats, SmTraceData) {
-    run_kernel_traced_mode(kernel, cta_ids, config, spec, true)
-}
-
-/// [`run_kernel_traced`] with the loop mode selected by value (the traced
-/// counterpart of [`run_kernel_mode`]).
+/// [`run_kernel_mode`] that also records a cycle-resolved timeline when
+/// `trace` is given; the trace is `Some` exactly when `trace` was.
 pub fn run_kernel_traced_mode(
     kernel: &dyn Kernel,
     cta_ids: &[usize],
     config: SmConfig,
-    spec: TraceSpec,
     reference: bool,
-) -> (SmStats, SmTraceData) {
+    trace: Option<TraceSpec>,
+) -> (SmStats, Option<SmTraceData>) {
     let mut sm = Sm::new(config, kernel);
-    if reference {
-        sm.set_event_skip(false);
+    sm.set_event_skip(!reference);
+    if let Some(spec) = trace {
+        sm.attach_tracer(spec);
     }
-    sm.attach_tracer(spec);
     drive(&mut sm, kernel, cta_ids);
-    let (stats, trace) = sm.into_stats_and_trace();
-    (stats, trace.expect("tracer attached above"))
+    sm.into_stats_and_trace()
 }

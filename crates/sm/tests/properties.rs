@@ -6,7 +6,7 @@
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{SmConfig, run_kernel};
+use duplo_sm::{SmConfig, run_kernel_mode};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require_eq};
 
@@ -148,7 +148,7 @@ fn random_kernels_complete_and_stats_are_consistent() {
             if case.duplo {
                 cfg.lhb = Some(LhbConfig::direct_mapped(64));
             }
-            let stats = run_kernel(&kernel, &[0, 1], cfg);
+            let stats = run_kernel_mode(&kernel, &[0, 1], cfg, false);
             require_eq!(stats.ctas_run, 2);
             // Every eliminated load was served by the LHB.
             require_eq!(stats.eliminated_loads, stats.services.lhb);
@@ -172,7 +172,7 @@ fn random_kernels_complete_and_stats_are_consistent() {
                 ctas: (0..2).map(|i| kernel.cta(i)).collect(),
                 workspace: Some(ws_desc()),
             };
-            let stats2 = run_kernel(&kernel2, &[0, 1], cfg2);
+            let stats2 = run_kernel_mode(&kernel2, &[0, 1], cfg2, false);
             require_eq!(stats.cycles, stats2.cycles);
             Ok(())
         },

@@ -10,7 +10,7 @@
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{SmConfig, run_kernel, run_kernel_reference};
+use duplo_sm::{SmConfig, run_kernel_mode};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require_eq};
 
@@ -102,7 +102,12 @@ fn tiny_rf(space_shared: bool) -> SmConfig {
 /// drains.
 #[test]
 fn shared_path_pressure_drains_to_zero() {
-    let stats = run_kernel(&pressure_kernel(40, Space::Shared), &[0], tiny_rf(true));
+    let stats = run_kernel_mode(
+        &pressure_kernel(40, Space::Shared),
+        &[0],
+        tiny_rf(true),
+        false,
+    );
     assert_eq!(
         stats.rf_peak_rows, 64,
         "test must exercise the pressure path (RF full at least once)"
@@ -117,7 +122,12 @@ fn shared_path_pressure_drains_to_zero() {
 /// the fix mirrors this behavior, so the two paths must agree.
 #[test]
 fn global_path_pressure_drains_to_zero() {
-    let stats = run_kernel(&pressure_kernel(40, Space::Global), &[0], tiny_rf(false));
+    let stats = run_kernel_mode(
+        &pressure_kernel(40, Space::Global),
+        &[0],
+        tiny_rf(false),
+        false,
+    );
     assert_eq!(stats.rf_peak_rows, 64, "pressure path must run");
     assert_eq!(
         stats.rf_final_rows, 0,
@@ -130,8 +140,18 @@ fn global_path_pressure_drains_to_zero() {
 /// `rf_peak_rows`/`rf_final_rows` exactly.
 #[test]
 fn pressure_path_identical_under_reference_loop() {
-    let event = run_kernel(&pressure_kernel(40, Space::Shared), &[0], tiny_rf(true));
-    let reference = run_kernel_reference(&pressure_kernel(40, Space::Shared), &[0], tiny_rf(true));
+    let event = run_kernel_mode(
+        &pressure_kernel(40, Space::Shared),
+        &[0],
+        tiny_rf(true),
+        false,
+    );
+    let reference = run_kernel_mode(
+        &pressure_kernel(40, Space::Shared),
+        &[0],
+        tiny_rf(true),
+        true,
+    );
     assert_eq!(event, reference);
 }
 
@@ -143,7 +163,12 @@ fn no_pressure_run_never_fills_rf_and_drains() {
     let mut cfg = SmConfig::titan_v(80);
     cfg.lhb = Some(LhbConfig::oracle());
     cfg.lhb_on_shared = true;
-    let stats = run_kernel(&pressure_kernel(40, Space::Shared), &[0], cfg.clone());
+    let stats = run_kernel_mode(
+        &pressure_kernel(40, Space::Shared),
+        &[0],
+        cfg.clone(),
+        false,
+    );
     assert!(
         stats.rf_peak_rows < cfg.regfile_rows(),
         "8192-row file must never fill on this kernel (peak {})",
@@ -227,7 +252,7 @@ fn random_kernels_under_small_rf_drain_to_zero() {
             cfg.regfile_bytes = 384 * 32;
             cfg.lhb = Some(LhbConfig::direct_mapped(64));
             cfg.lhb_on_shared = case.shared;
-            let stats = run_kernel(&build(case), &[0], cfg);
+            let stats = run_kernel_mode(&build(case), &[0], cfg, false);
             require_eq!(stats.rf_final_rows, 0, "rows leaked: {stats:#?}");
             Ok(())
         },

@@ -3,7 +3,7 @@
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{SchedulerPolicy, SmConfig, run_kernel};
+use duplo_sm::{SchedulerPolicy, SmConfig, run_kernel_mode};
 
 /// A kernel over explicit CTA traces.
 struct TestKernel {
@@ -83,7 +83,7 @@ fn empty_kernel_finishes_immediately() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     assert!(stats.cycles < 10);
     assert_eq!(stats.ctas_run, 1);
 }
@@ -106,7 +106,7 @@ fn alu_chain_respects_latencies() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     assert!(stats.cycles >= 40, "got {}", stats.cycles);
     assert!(stats.cycles < 60, "got {}", stats.cycles);
 }
@@ -139,7 +139,7 @@ fn barrier_synchronizes_cta() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     // Warp 1 must wait for warp 0's ~200 cycles of ALU latency.
     assert!(
         stats.cycles >= 200,
@@ -160,7 +160,7 @@ fn baseline_load_traverses_hierarchy() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     assert_eq!(stats.issued_tensor_loads, 1);
     assert_eq!(stats.row_loads, 16);
     assert!(stats.services.dram > 0, "cold rows must reach DRAM");
@@ -191,7 +191,7 @@ fn duplicate_fragment_hits_lhb_and_saves_traffic() {
         let mut cfg = config();
         cfg.lhb = lhb;
         cfg.rename_log_cap = 100;
-        run_kernel(&k, &[0], cfg)
+        run_kernel_mode(&k, &[0], cfg, false)
     };
 
     let baseline = mk(None);
@@ -245,7 +245,7 @@ fn duplicate_rows_at_different_addresses_hit() {
     };
     let mut cfg = config();
     cfg.lhb = Some(LhbConfig::oracle());
-    let stats = run_kernel(&k, &[0], cfg);
+    let stats = run_kernel_mode(&k, &[0], cfg, false);
     assert_eq!(
         stats.eliminated_loads, 16,
         "all 16 rows of the second fragment are duplicates (got {} of 32 rows, lhb hits {})",
@@ -270,7 +270,7 @@ fn no_workspace_descriptor_means_baseline_behaviour() {
         };
         let mut cfg = config();
         cfg.lhb = lhb;
-        run_kernel(&k, &[0], cfg)
+        run_kernel_mode(&k, &[0], cfg, false)
     };
     // Duplo enabled but the kernel has no workspace: detection unit stays
     // power-gated; behaviour identical to baseline.
@@ -305,8 +305,8 @@ fn runs_are_deterministic() {
     };
     let mut cfg = config();
     cfg.lhb = Some(LhbConfig::paper_default());
-    let a = run_kernel(&k, &[0], cfg.clone());
-    let b = run_kernel(&k, &[0], cfg);
+    let a = run_kernel_mode(&k, &[0], cfg.clone(), false);
+    let b = run_kernel_mode(&k, &[0], cfg, false);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.eliminated_loads, b.eliminated_loads);
     assert_eq!(a.mem.dram_bytes, b.mem.dram_bytes);
@@ -327,7 +327,7 @@ fn lrr_policy_also_completes() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], cfg);
+    let stats = run_kernel_mode(&k, &[0], cfg, false);
     assert_eq!(stats.issued_tensor_loads, 4);
 }
 
@@ -355,7 +355,7 @@ fn shared_memory_limits_concurrent_ctas() {
         shared: 48 * 1024,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0, 1, 2, 3], config());
+    let stats = run_kernel_mode(&k, &[0, 1, 2, 3], config(), false);
     assert!(
         stats.cycles >= 400,
         "4 CTAs with 2-resident limit must take 2+ waves: {}",
@@ -386,7 +386,7 @@ fn mma_throughput_bounded_by_tensor_cores() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     assert_eq!(stats.issued_mma, 64);
     // 64 MMAs / 2 TCs * 8 cycles = 256 cycles lower bound.
     assert!(stats.cycles >= 256, "got {}", stats.cycles);
@@ -412,7 +412,7 @@ fn store_does_not_block_and_counts_traffic() {
         shared: 0,
         workspace: None,
     };
-    let stats = run_kernel(&k, &[0], config());
+    let stats = run_kernel_mode(&k, &[0], config(), false);
     assert_eq!(stats.mem.stores, 16);
     assert_eq!(stats.mem.store_bytes, 512);
     assert!(stats.cycles < 100, "stores must not wait for DRAM");

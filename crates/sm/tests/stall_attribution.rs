@@ -11,7 +11,7 @@
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{SmConfig, SmStats, run_kernel};
+use duplo_sm::{SmConfig, SmStats, run_kernel_mode};
 
 struct TestKernel {
     ctas: Vec<CtaTrace>,
@@ -142,7 +142,7 @@ fn scheduler_slots_are_fully_accounted() {
 
     let cfg = config();
     let schedulers = cfg.schedulers;
-    let baseline = run_kernel(&k, &[0], cfg.clone());
+    let baseline = run_kernel_mode(&k, &[0], cfg.clone(), false);
     assert_accounted(&baseline, schedulers, "baseline");
     assert!(baseline.stalls.empty > 0, "tail cycles must count as empty");
     assert!(
@@ -153,7 +153,7 @@ fn scheduler_slots_are_fully_accounted() {
 
     let mut duplo_cfg = cfg;
     duplo_cfg.lhb = Some(LhbConfig::paper_default());
-    let duplo = run_kernel(&k, &[0], duplo_cfg);
+    let duplo = run_kernel_mode(&k, &[0], duplo_cfg, false);
     assert_accounted(&duplo, schedulers, "duplo");
     assert!(duplo.eliminated_loads > 0, "workspace reuse must rename");
 }
@@ -186,7 +186,7 @@ fn ldst_queue_pressure_is_attributed() {
     };
     let cfg = config();
     let schedulers = cfg.schedulers;
-    let stats = run_kernel(&k, &[0], cfg);
+    let stats = run_kernel_mode(&k, &[0], cfg, false);
     assert_accounted(&stats, schedulers, "ldst pressure");
     assert!(
         stats.stalls.ldst_full > 0,
@@ -219,7 +219,7 @@ fn tensor_core_pressure_is_attributed() {
     };
     let cfg = config();
     let schedulers = cfg.schedulers;
-    let stats = run_kernel(&k, &[0], cfg);
+    let stats = run_kernel_mode(&k, &[0], cfg, false);
     assert_accounted(&stats, schedulers, "mma pressure");
     assert_eq!(stats.issued_mma, 32);
     assert!(

@@ -5,7 +5,7 @@
 
 use duplo_conv::layers;
 use duplo_core::LhbConfig;
-use duplo_sim::{GpuConfig, layer_run};
+use duplo_sim::{GpuConfig, RunOptions, layer_run};
 
 fn main() {
     let idx: usize = std::env::args()
@@ -19,7 +19,7 @@ fn main() {
     println!("layer {} ({p})", layer.qualified_name());
 
     let gpu = GpuConfig::titan_v();
-    let baseline = layer_run(&p, None, &gpu);
+    let baseline = layer_run(&p, None, &gpu, &RunOptions::default());
     println!("baseline: {:.0} cycles", baseline.cycles);
 
     let configs = [
@@ -35,7 +35,7 @@ fn main() {
         "LHB", "cycles", "improvement", "hit rate", "conflicts"
     );
     for cfg in configs {
-        let r = layer_run(&p, Some(cfg), &gpu);
+        let r = layer_run(&p, Some(cfg), &gpu, &RunOptions::default());
         println!(
             "{:<18} {:>10.0} {:>+11.1}% {:>9.1}% {:>10}",
             cfg.label(),

@@ -5,7 +5,7 @@
 
 use duplo_conv::{ConvParams, direct, gemm, ids};
 use duplo_core::LhbConfig;
-use duplo_sim::{GpuConfig, layer_run};
+use duplo_sim::{GpuConfig, RunOptions, layer_run};
 use duplo_tensor::{Nhwc, Tensor4, approx_eq};
 use duplo_testkit::Rng;
 
@@ -37,8 +37,13 @@ fn main() {
 
     // Timing: baseline tensor-core GEMM vs Duplo with the paper's LHB.
     let gpu = GpuConfig::titan_v();
-    let baseline = layer_run(&params, None, &gpu);
-    let duplo = layer_run(&params, Some(LhbConfig::paper_default()), &gpu);
+    let baseline = layer_run(&params, None, &gpu, &RunOptions::default());
+    let duplo = layer_run(
+        &params,
+        Some(LhbConfig::paper_default()),
+        &gpu,
+        &RunOptions::default(),
+    );
     println!(
         "baseline: {:.0} cycles | duplo: {:.0} cycles | improvement {:+.1}%",
         baseline.cycles,

@@ -5,7 +5,7 @@
 
 use duplo_conv::layers;
 use duplo_core::LhbConfig;
-use duplo_sim::{GpuConfig, layer_run};
+use duplo_sim::{GpuConfig, RunOptions, layer_run};
 
 fn main() {
     let gpu = GpuConfig::titan_v();
@@ -17,8 +17,8 @@ fn main() {
     );
     for layer in layers::resnet() {
         let p = layer.lowered();
-        let base = layer_run(&p, None, &gpu);
-        let duplo = layer_run(&p, Some(lhb), &gpu);
+        let base = layer_run(&p, None, &gpu, &RunOptions::default());
+        let duplo = layer_run(&p, Some(lhb), &gpu, &RunOptions::default());
         total.0 += base.cycles;
         total.1 += duplo.cycles;
         println!(

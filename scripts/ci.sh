@@ -25,6 +25,20 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check ==" >&2
 cargo fmt --check
 
+# Configuration lint: run settings are resolved once, at the process
+# boundary (RunOptions::from_env / from_cli). Library code reads no
+# environment variable, except the process-wide output switches in log.rs
+# and metrics.rs; the test/bench harness crates are boundaries themselves.
+echo "== lint: env reads only at the process boundary ==" >&2
+ENV_READS=$(grep -rnE 'env::var(_os)?\b' crates/*/src \
+    | grep -vE '^crates/sim/src/(options|log|metrics)\.rs:|^crates/(testkit|bench)/src/' \
+    || true)
+if [ -n "$ENV_READS" ]; then
+    echo "environment read below the process boundary (use RunOptions):" >&2
+    echo "$ENV_READS" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline ==" >&2
 cargo build --release --offline
 
@@ -47,11 +61,11 @@ echo "== json: emit + validate + thread-count diff ==" >&2
 JSON_DIR=$(mktemp -d)
 trap 'rm -rf "$JSON_DIR"' EXIT
 DUPLO_JSON_STABLE=1 DUPLO_THREADS=1 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_t1.json" > "$JSON_DIR/stdout_flat.txt"
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_t1.json" > "$JSON_DIR/stdout_flat.txt"
 DUPLO_JSON_STABLE=1 DUPLO_THREADS=4 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_t4.json" > /dev/null
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_t4.json" > /dev/null
 cargo run -q --release --offline -p duplo-bench --bin json_check -- \
     "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_t4.json"
 cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_t4.json" || {
@@ -207,8 +221,8 @@ DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=1 \
 DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=4 \
     cargo test -q --release --offline -p duplo-sim --test determinism
 DUPLO_JSON_STABLE=1 DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=4 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_ref.json" > /dev/null
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_ref.json" > /dev/null
 cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_ref.json" || {
     echo "stable JSON differs between event-driven and reference loops" >&2
     exit 1
@@ -221,8 +235,8 @@ cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_ref.json" || {
 echo "== sliced L2: slices=1 reproduces the flat model byte-for-byte ==" >&2
 for hash in mod xor; do
     DUPLO_JSON_STABLE=1 DUPLO_THREADS=1 DUPLO_L2_SLICES=1 DUPLO_L2_HASH=$hash \
-        cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-        --sample 2 --json "$JSON_DIR/smem_s1_$hash.json" \
+        cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+        run smem_policy --sample 2 --json "$JSON_DIR/smem_s1_$hash.json" \
         > "$JSON_DIR/stdout_s1_$hash.txt"
     cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_s1_$hash.json" || {
         echo "slices=1 ($hash hash) stable JSON differs from the flat model" >&2

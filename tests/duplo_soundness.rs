@@ -13,7 +13,7 @@ use duplo_core::LhbConfig;
 use duplo_isa::Kernel as _;
 use duplo_kernels::{A_BASE, GemmTcKernel, SmemPolicy};
 use duplo_sim::GpuConfig;
-use duplo_sm::run_kernel;
+use duplo_sm::run_kernel_mode;
 use duplo_tensor::{Nhwc, Tensor4};
 use duplo_testkit::Rng;
 
@@ -44,7 +44,7 @@ fn check_layer(params: ConvParams, lhb: LhbConfig) -> (usize, u64) {
     cfg.lhb = Some(lhb);
     cfg.rename_log_cap = 100_000;
     let ctas: Vec<usize> = (0..kernel.num_ctas().min(6)).collect();
-    let stats = run_kernel(&kernel, &ctas, cfg);
+    let stats = run_kernel_mode(&kernel, &ctas, cfg, false);
 
     let mut rng = Rng::seed_from_u64(1234);
     let mut input = Tensor4::zeros(params.input);

@@ -61,8 +61,13 @@ fn hit_rates_bounded_by_census() {
 fn dram_traffic_reduction() {
     let gpu = opts().apply(GpuConfig::titan_v());
     let p = layers::yolo()[2].lowered();
-    let base = layer_run(&p, None, &gpu);
-    let duplo = layer_run(&p, Some(LhbConfig::paper_default()), &gpu);
+    let base = layer_run(&p, None, &gpu, &RunOptions::default());
+    let duplo = layer_run(
+        &p,
+        Some(LhbConfig::paper_default()),
+        &gpu,
+        &RunOptions::default(),
+    );
     assert!(
         duplo.stats.mem.dram_bytes < base.stats.mem.dram_bytes,
         "duplo DRAM {} !< baseline {}",
@@ -81,8 +86,8 @@ fn large_batches_do_not_help_fixed_lhb() {
     let lhb = LhbConfig::paper_default();
     let imp = |batch: usize| {
         let p = layer.with_batch(batch).lowered();
-        let b = layer_run(&p, None, &gpu);
-        let d = layer_run(&p, Some(lhb), &gpu);
+        let b = layer_run(&p, None, &gpu, &RunOptions::default());
+        let d = layer_run(&p, Some(lhb), &gpu, &RunOptions::default());
         b.cycles / d.cycles - 1.0
     };
     let i8 = imp(8);
@@ -112,8 +117,18 @@ fn compiler_only_tag_storage_is_enormous() {
 fn experiment_runs_are_deterministic() {
     let gpu = opts().apply(GpuConfig::titan_v());
     let p = layers::resnet()[1].lowered();
-    let a = layer_run(&p, Some(LhbConfig::paper_default()), &gpu);
-    let b = layer_run(&p, Some(LhbConfig::paper_default()), &gpu);
+    let a = layer_run(
+        &p,
+        Some(LhbConfig::paper_default()),
+        &gpu,
+        &RunOptions::default(),
+    );
+    let b = layer_run(
+        &p,
+        Some(LhbConfig::paper_default()),
+        &gpu,
+        &RunOptions::default(),
+    );
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.stats.lhb.hits, b.stats.lhb.hits);
     assert_eq!(a.stats.mem.dram_bytes, b.stats.mem.dram_bytes);

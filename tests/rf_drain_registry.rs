@@ -21,7 +21,7 @@ use duplo_core::LhbConfig;
 use duplo_isa::Kernel;
 use duplo_kernels::{GemmTcKernel, ImplicitGemmKernel, SmemPolicy};
 use duplo_sim::GpuConfig;
-use duplo_sm::run_kernel;
+use duplo_sm::run_kernel_mode;
 use duplo_tensor::Nhwc;
 
 /// A ResNet-C2-like layer: K = 576 gives each warp a long k-loop, so the
@@ -39,7 +39,7 @@ fn pressured_run<K: Kernel>(kernel: &K, rows: u32, shared: bool) {
     cfg.commit_delay = 1 << 20;
     cfg.lhb = Some(LhbConfig::paper_default());
     cfg.lhb_on_shared = shared;
-    let stats = run_kernel(kernel, &[0], cfg);
+    let stats = run_kernel_mode(kernel, &[0], cfg, false);
     assert_eq!(
         stats.rf_peak_rows,
         rows,
@@ -92,7 +92,7 @@ fn registry_kernels_drain_without_pressure() {
         cfg.lhb = Some(LhbConfig::paper_default());
         cfg.lhb_on_shared = shared;
         let ctas: Vec<usize> = (0..kernel.num_ctas().min(2)).collect();
-        let stats = run_kernel(kernel.as_ref(), &ctas, cfg.clone());
+        let stats = run_kernel_mode(kernel.as_ref(), &ctas, cfg.clone(), false);
         assert!(stats.rf_peak_rows < cfg.regfile_rows(), "{}", kernel.name());
         assert_eq!(stats.rf_final_rows, 0, "{}", kernel.name());
     }
